@@ -25,9 +25,8 @@ and the pages corpus is probed per-bucket, never shuffled (SURVEY.md §7.3).
 from __future__ import annotations
 
 import os
-import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 # fsspec.implementations.http fails to import in this container (no
@@ -142,12 +141,18 @@ def _write_ds_into(final_dir: str, ds_or_table, tag: str) -> None:
         pq.write_table(ds_or_table, os.path.join(tmp, f"{tag}-0.parquet"))
     else:
         ds_or_table.write_parquet(tmp)
+    _publish(tmp, final_dir, tag)
+
+
+def _publish(tmp: str, final_dir: str, tag: str) -> None:
+    """Move the parquet files of ``tmp`` into ``final_dir`` as
+    ``<tag>-<i>.parquet`` (sorted order) and drop ``tmp``."""
+    import shutil
+
     os.makedirs(final_dir, exist_ok=True)
     for i, f in enumerate(sorted(os.listdir(tmp))):
         if f.endswith(".parquet"):
             os.rename(os.path.join(tmp, f), os.path.join(final_dir, f"{tag}-{i}.parquet"))
-    import shutil
-
     shutil.rmtree(tmp)
 
 
@@ -156,6 +161,85 @@ def _atomic_write_table(dir_: str, name: str, table: pa.Table) -> None:
     tmp = os.path.join(dir_, f".__tmp.{name}.{os.getpid()}")
     pq.write_table(table, tmp)
     os.replace(tmp, os.path.join(dir_, name))
+
+
+def _url_digest(urls) -> str:
+    """Content digest of a block's urls: the file name of a task-side
+    write, so a retried task rewrites the same bytes under the same name."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=8)
+    for u in urls:
+        h.update(u.encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def _tally_frame(df: pd.DataFrame, **dtypes: str) -> pd.DataFrame:
+    """``df``, or an empty frame with the tally's typed columns when the
+    tally execution returned no rows (and so no columns)."""
+    if len(df):
+        return df
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+
+
+def _timed(times: dict, name: str, fn, *args, **kw):
+    """Run ``fn(*args, **kw)`` and record its wall seconds as
+    ``times[name]`` — the one timer of every round phase, whether it runs
+    in-line or as a future on the round executor."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kw)
+    times[name] = round(time.perf_counter() - t0, 4)
+    return out
+
+
+def _write_crawled(parsed: rd.Dataset, crawled_dir: str) -> pd.DataFrame:
+    """Write the pinned parse output into ``crawled_dir`` as
+    ``fetched-<i>.parquet`` and return its per-partition (fetched, missed,
+    links_emitted) tally.  ONE execution: each task writes its own block
+    (content-digest name into a tmp dir, published by rename) and returns
+    only its tally rows, so the METRICS counts cost no extra pass."""
+    tmp = crawled_dir + ".__tmp_fetched"
+    os.makedirs(tmp, exist_ok=True)
+
+    def emit(t: pa.Table) -> pa.Table:
+        if t.num_rows:
+            _atomic_write_table(tmp, f"{_url_digest(t['url'].to_pylist())}.parquet", t)
+        # robots-blocked (999) rows are written by the split, never parsed:
+        # every non-200 row here is a miss (404 and retry-exhausted 503 alike)
+        ok = pc.equal(t["status"], 200)
+        g = pa.table({
+            "partition": t["partition"].cast(pa.int64()),
+            "fetched": ok.cast(pa.int64()),
+            "missed": pc.invert(ok).cast(pa.int64()),
+            "links_emitted": pc.if_else(ok, t["n_links"], 0).cast(pa.int64()),
+        }).group_by("partition").aggregate(
+            [("fetched", "sum"), ("missed", "sum"), ("links_emitted", "sum")])
+        return g.rename_columns([c.removesuffix("_sum") for c in g.column_names])
+
+    tally = parsed.map_batches(emit, batch_format="pyarrow").to_pandas()
+    _publish(tmp, crawled_dir, "fetched")
+    return _tally_frame(tally, partition="int64", fetched="int64",
+                        missed="int64", links_emitted="int64")
+
+
+def _round_metrics(rnd: int, num_partitions: int, frontier_size: int,
+                   selected: pd.Series, fetch_tally: pd.DataFrame,
+                   split_tally: pd.DataFrame) -> pa.Table:
+    """One METRICS row per partition, from the tallies the round already
+    holds: per-partition selections (host-state pass), fetched / missed /
+    links_emitted (crawled write) and links_new / blocked (split)."""
+    m = pd.DataFrame(index=pd.Index(range(num_partitions), name="partition"))
+    m["selected"] = selected
+    m = m.join(fetch_tally.groupby("partition").sum())
+    for col, blocked in (("links_new", False), ("blocked", True)):
+        rows = split_tally[split_tally["blocked"] == blocked]
+        m[col] = rows.groupby("partition")["n"].sum()
+    m = m.fillna(0).astype("int64").reset_index()
+    m["round"] = rnd
+    m["frontier_size"] = frontier_size
+    return pa.Table.from_pandas(m[schemas.METRICS.names],
+                                preserve_index=False).cast(schemas.METRICS)
 
 
 def _make_split_emit(rnd: int, frontier_dir: str, seen_dir: str,
@@ -173,15 +257,9 @@ def _make_split_emit(rnd: int, frontier_dir: str, seen_dir: str,
                               "n": pd.Series(dtype="int64")})
         if df.empty:
             return empty
-        import hashlib
-
         from ..stages.parse import PARSED_SCHEMA
 
-        h = hashlib.blake2b(digest_size=8)
-        for u in df["url"]:
-            h.update(u.encode("utf-8"))
-            h.update(b"\x00")
-        digest = h.hexdigest()
+        digest = _url_digest(df["url"])
 
         t = pa.Table.from_pandas(df, preserve_index=False)
         nb = t.filter(pc.invert(t["blocked"]))
@@ -340,7 +418,8 @@ def run_crawl(
     ckpt_dir: str,
     resume: bool = True,
 ) -> dict:
-    """Run (or resume) the crawl to completion; returns summary paths/counts.
+    """Run (or resume) the crawl to completion; returns summary paths/counts
+    and ``phase_s``: one ``{phase: seconds}`` dict per round this call ran.
 
     ``pages_root`` must be the hash-bucketed corpus layout produced by
     :func:`borges_ray.stages.fetch.write_pages_bucketed`.
@@ -397,8 +476,6 @@ def run_crawl(
          zip(robots_df["host"], robots_df["disallow_prefixes"], _alw)}
     )
 
-    timing = bool(os.environ.get("BORGES_CRAWL_TIMING"))
-
     def _fetch_parse(sel: rd.Dataset, rnd_tag: int) -> rd.Dataset:
         """Fetch-join + parse for one round's selection, pinned.  With a
         key pool configured, fetch runs on session actors (T2/S13); with
@@ -437,307 +514,143 @@ def run_crawl(
                 target_num_rows_per_block=cfg.parse_block_rows)
         return parse_fetched(fetched, rnd_tag).materialize()
 
-    prefetch: dict | None = None  # round-pipelined selection (see below)
-    rnd = last
-    while rnd < cfg.max_rounds:
-        t_round = time.time()
-        marks: dict[str, float] = {}
-        marks_lock = threading.Lock()  # prefetch/host-state threads write
-        # into this round's marks while the timing print may iterate it
-
-        def _mark(name: str, t0: float) -> None:
-            with marks_lock:
-                marks[name] = round(time.time() - t0, 2)
-
-        this_dir = ckpt.round_dir(ckpt_dir, rnd)
-        next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
-        frontier_path = os.path.join(this_dir, "frontier")
-        frontier_size = _count_rows(frontier_path)
-        if frontier_size == 0:
-            break
-        os.makedirs(next_dir, exist_ok=True)
-
-        host_state_dir = os.path.join(this_dir, "host_state")
-
+    def _read_frontier(round_dir: str) -> rd.Dataset:
         # metadata-driven scan blocks: bytes-scaled at design scale, small
         # for a ~1 MB sandbox frontier (see _scan_blocks)
-        frontier = rd.read_parquet(
-            frontier_path,
-            override_num_blocks=_scan_blocks(frontier_path, cfg.num_partitions))
+        path = os.path.join(round_dir, "frontier")
+        return rd.read_parquet(
+            path, override_num_blocks=_scan_blocks(path, cfg.num_partitions))
 
-        # 1. politeness selection (host_seq assigned).  The selection is
-        # politeness-BOUNDED (≤ budget × hosts rows), so pinning it in the
-        # object store is safe and saves a write→read round trip.  Host
-        # counters come from the partitioned host-state checkpoint — the
-        # driver never holds a hosts dict.  If the PREVIOUS round prefetched
-        # this round's selection (round pipelining: the select ran
-        # concurrently with the previous round's tail — blocked/tally
-        # split, metrics, commit), reuse it; inputs are identical (the
-        # committed frontier + host-state files), so the result is too.
-        t0 = time.time()
-        pre_parsed = None
-        if prefetch is not None and prefetch["rnd"] == rnd:
-            prefetch["thread"].join()
-            if "err" in prefetch["state"]:
-                raise prefetch["state"]["err"]
-            selected = prefetch["state"]["selected"]
-            pre_parsed = prefetch["state"].get("parsed")
-            prefetch = None
-        else:
-            selected = select_frontier(frontier, delays_ref, host_state_dir,
-                                       num_partitions=cfg.num_partitions,
-                                       rnd=rnd, night_shift=cfg.night_shift,
-                                       round_ms=cfg.round_ms).materialize()
-        _mark("select", t0)
-        sel_dir = os.path.join(next_dir, "selected")
+    def _select(frontier: rd.Dataset, round_dir: str, r: int) -> rd.Dataset:
+        # The selection is politeness-BOUNDED (≤ budget × hosts rows), so
+        # pinning it in the object store is safe and saves a write→read
+        # round trip.  Host counters come from the partitioned host-state
+        # checkpoint — the driver never holds a hosts dict.
+        return select_frontier(frontier, delays_ref,
+                               os.path.join(round_dir, "host_state"),
+                               num_partitions=cfg.num_partitions, rnd=r,
+                               night_shift=cfg.night_shift,
+                               round_ms=cfg.round_ms).materialize()
 
-        # 6 (early). host_state: fold this round's per-host selections into
-        # the partitioned counter/clock table — depends ONLY on the pinned
-        # selection, so it launches IMMEDIATELY after select on a thread
-        # overlapped with everything else (it gates next round's prefetched
-        # selection).  The counts are politeness-BOUNDED, never O(all hosts)
-        hs_err: list[BaseException] = []
+    def _prefetch(frontier: rd.Dataset, round_dir: str, r: int, times: dict):
+        # round r's selection AND fetch-join + parse, run while round r-1's
+        # tail finishes.  Nothing is persisted (round r writes the pinned
+        # results itself), so crash/resume semantics are unchanged.
+        selected = _timed(times, "select", _select, frontier, round_dir, r)
+        return selected, _timed(times, "fetch_parse", _fetch_parse, selected, r)
 
-        def _host_state_job(rnd=rnd, selected=selected,
-                            host_state_dir=host_state_dir, next_dir=next_dir):
-            try:
-                t0h = time.time()
-                # per-host counts straight off the PINNED selection (one
-                # small Ray combiner pass) — the old driver-side os.walk +
-                # per-file parquet read of the hive layout was the long
-                # pole of the prefetch critical path on a throttled host
-                parts = selected.map_batches(
-                    lambda df: df["host"].value_counts().rename("n")
-                                 .rename_axis("host").reset_index(),
-                    batch_format="pandas").to_pandas()
-                if len(parts):
-                    host_counts = (parts.groupby("host", sort=False)["n"]
-                                   .sum().reset_index())
-                else:
-                    host_counts = pd.DataFrame({"host": pd.Series(dtype=object),
-                                                "n": pd.Series(dtype="int64")})
-                _update_host_state(host_state_dir, host_counts,
-                                   os.path.join(next_dir, "host_state"),
-                                   cfg.num_partitions, delays, rnd, cfg.round_ms)
-                _mark("host_state", t0h)
-            except BaseException as e:  # surfaced before prefetch/commit
-                hs_err.append(e)
+    def _host_state(selected: rd.Dataset, this_dir: str, next_dir: str,
+                    r: int) -> pd.Series:
+        # ONE small combiner pass over the pinned selection counts it per
+        # (host, partition): the per-host sums fold into the partitioned
+        # counter/clock table (politeness-BOUNDED, never O(all hosts)); the
+        # per-partition sums are the METRICS ``selected`` column.
+        parts = _tally_frame(selected.map_batches(
+            lambda df: df.groupby(["host", "partition"], sort=False)
+                         .size().rename("n").reset_index(),
+            batch_format="pandas").to_pandas(),
+            host=object, partition="int64", n="int64")
+        _update_host_state(os.path.join(this_dir, "host_state"),
+                           parts.groupby("host", sort=False)["n"].sum().reset_index(),
+                           os.path.join(next_dir, "host_state"),
+                           cfg.num_partitions, delays, r, cfg.round_ms)
+        return parts.groupby("partition")["n"].sum()
 
-        hs_thread = threading.Thread(target=_host_state_job)
-        hs_thread.start()
-
-        # hive-partitioned by the url-hash partition: the deferral scan
-        # reads per-partition membership slices instead of a broadcast set.
-        # Coalesce blocks first — the hive write fans out blocks×partitions
-        # files otherwise (537 tiny files/round measured at 32×32)
-        t0 = time.time()
-        selected.repartition(2).write_parquet(sel_dir, partition_cols=["partition"])
-        _mark("write_sel", t0)
-
-        def _launch_prefetch(rnd=rnd, next_dir=next_dir):
-            """Round pipelining: once round r+1's frontier AND host-state
-            files are fully written, run its politeness selection on a
-            thread concurrent with THIS round's remaining tail.  Nothing is
-            persisted until round r+1 itself, so crash/resume semantics are
-            unchanged."""
-            if rnd + 1 >= cfg.max_rounds:
-                return None
-            hs_thread.join()
-            if hs_err:
-                raise hs_err[0]
-            nf_path = os.path.join(next_dir, "frontier")
-            if _count_rows(nf_path) == 0:
-                return None
-            nf = rd.read_parquet(
-                nf_path,
-                override_num_blocks=_scan_blocks(nf_path, cfg.num_partitions))
-            state: dict = {}
-            t0p = time.time()
-
-            def _run():
-                try:
-                    state["selected"] = select_frontier(
-                        nf, delays_ref, os.path.join(next_dir, "host_state"),
-                        num_partitions=cfg.num_partitions, rnd=rnd + 1,
-                        night_shift=cfg.night_shift,
-                        round_ms=cfg.round_ms).materialize()
-                    _mark("prefetch_select", t0p)
-                    # software pipeline the EXPENSIVE stage too: round r+1's
-                    # fetch-join + parse runs here, overlapped with round
-                    # r's gate/metrics/commit tail.  Nothing is persisted
-                    # (the pinned parse output is written by round r+1
-                    # itself), so crash/resume semantics are unchanged.
-                    state["parsed"] = _fetch_parse(state["selected"], rnd + 1)
-                    _mark("prefetch_fetch", t0p)
-                except BaseException as e:
-                    state["err"] = e
-
-            th = threading.Thread(target=_run)
-            th.start()
-            return {"rnd": rnd + 1, "thread": th, "state": state}
-
-        # 2. deferral (frontier scan minus selected urls) — runs CONCURRENTLY
-        # with fetch+parse on a driver thread: the two pipelines share no
-        # data dependency, so their Ray executions overlap
-        frontier2 = rd.read_parquet(
-            frontier_path,
-            override_num_blocks=_scan_blocks(frontier_path, cfg.num_partitions))
-        deferred = defer_frontier(frontier2, sel_dir)
-        frontier_next_dir = os.path.join(next_dir, "frontier")
-        defer_err: list[BaseException] = []
-
-        def _defer_job():
-            try:
-                _write_ds_into(frontier_next_dir, deferred, "deferred")
-            except BaseException as e:  # surfaced after join
-                defer_err.append(e)
-
-        defer_thread = threading.Thread(target=_defer_job)
-        defer_thread.start()
-
-        # 3-4. fetch-join + parse (bounded like the selection → materialize;
-        # html is dropped by parse, only text+links are pinned).  When the
-        # previous round's prefetch thread already ran this round's
-        # fetch+parse (software pipelining), the pinned result is reused.
-        t0 = time.time()
-        parsed = pre_parsed if pre_parsed is not None else _fetch_parse(selected, rnd)
-        _mark("fetch_parse", t0)
-        # write the crawled checkpoint on a thread OVERLAPPED with the
-        # gate/split below (both consume the pinned ``parsed`` set; the
-        # only reader of the files is the metrics pass, which joins this
-        # thread first).  ``has_crawled`` comes from the pinned rows, not
-        # the not-yet-written files.
-        crawled_dir = os.path.join(next_dir, "crawled")
-        has_crawled = bool(parsed.count())
-        wc_err: list[BaseException] = []
-        t_wc = time.time()
-
-        def _write_crawled_job():
-            try:
-                _write_ds_into(crawled_dir, parsed, "fetched")
-                _mark("write_crawled", t_wc)
-            except BaseException as e:  # surfaced before the metrics read
-                wc_err.append(e)
-
-        wc_thread = threading.Thread(target=_write_crawled_job)
-        wc_thread.start()
-
-        # 5. link candidates → winner dedup → seen + robots gate → FUSED
-        # split: ONE execution over the gated rows in which each task writes
-        # its own block's frontier/seen/blocked parquet files directly
-        # (task-side writes, content-digest names → idempotent under task
-        # retry) and returns only (partition, blocked, n) tally rows.  This
-        # replaces the r03 shape — materialize + a `new` checkpoint write +
-        # four separate derivation executions — with a single pass: the
-        # gated rows are touched once and never pinned, and the per-round
-        # fixed cost drops by ~3 execution round-trips + 2 dataset writes.
-        seen_delta_dir = os.path.join(next_dir, "seen_delta")
-        new_counts = pd.DataFrame({"partition": pd.Series(dtype="int64"),
-                                   "blocked": pd.Series(dtype=bool),
-                                   "n": pd.Series(dtype="int64")})
-        t0 = time.time()
-        if has_crawled:
-            parsed_back = parsed.select_columns(["url", "status", "priority", "depth", "links"])
-            cands = link_candidates(parsed_back, rnd, cfg.num_partitions, cfg.max_depth)
-            gated = gate_candidates(cands, shards, robots_ref, rnd + 1)
-            for d in (frontier_next_dir, seen_delta_dir, crawled_dir):
+    def _gate_split(parsed: rd.Dataset, next_dir: str, r: int) -> pd.DataFrame:
+        # link candidates → winner dedup → seen + robots gate → FUSED split:
+        # ONE execution over the gated rows in which each task writes its
+        # own block's frontier/seen/blocked parquet files (content-digest
+        # names → idempotent under task retry) and returns only
+        # (partition, blocked, n) tally rows; the gated rows are never pinned.
+        tally = pd.DataFrame()
+        if parsed.count():
+            cands = link_candidates(
+                parsed.select_columns(["url", "status", "priority", "depth", "links"]),
+                r, cfg.num_partitions, cfg.max_depth)
+            gated = gate_candidates(cands, shards, robots_ref, r + 1)
+            dirs = [os.path.join(next_dir, d)
+                    for d in ("frontier", "seen_delta", "crawled")]
+            for d in dirs:
                 os.makedirs(d, exist_ok=True)
-            emit = _make_split_emit(rnd, frontier_next_dir, seen_delta_dir,
-                                    crawled_dir)
-            tallies = gated.map_batches(emit, batch_format="pandas").to_pandas()
-            if len(tallies):
-                new_counts = (tallies.groupby(["partition", "blocked"], sort=False)
-                              ["n"].sum().reset_index())
-        if not len(new_counts):
-            _write_ds_into(seen_delta_dir, schemas.SEEN.empty_table(), "links")
-        _mark("gate_split", t0)
+            tally = gated.map_batches(_make_split_emit(r, *dirs),
+                                      batch_format="pandas").to_pandas()
+        if not len(tally):
+            _write_ds_into(os.path.join(next_dir, "seen_delta"),
+                           schemas.SEEN.empty_table(), "links")
+        return _tally_frame(tally, partition="int64", blocked=bool, n="int64")
 
-        t0 = time.time()
-        defer_thread.join()
-        _mark("defer_join", t0)
-        if defer_err:
-            raise defer_err[0]
-        # round r+1's frontier (deferred + new) and, inside the launch,
-        # its host state are now complete → prefetch its selection
-        prefetch = _launch_prefetch()
+    # --- the round loop ----------------------------------------------------
+    # The overlapped phases of a round run as futures (*) on ONE executor
+    # that lives as long as this call; each dependency is the place its
+    # ``.result()`` is taken:
+    #
+    #   select ─┬─► host_state* ──────────────────────┬─► prefetch r+1*
+    #           ├─► write_sel ──► defer* ─────────────┤   (select + fetch_parse)
+    #           └─► fetch_parse ─┬─► gate_split ──────┘
+    #                            └─► write_crawled* ──► metrics ──► commit
+    #
+    # Round r+1's prefetch needs round r+1's full frontier (deferred + new)
+    # and host state, so it is submitted once defer, gate_split and
+    # host_state are done, and overlaps round r's metrics + commit; round
+    # r+1 takes its result instead of running select + fetch_parse itself.
+    # The ``finally`` cancels futures not yet started and waits for running
+    # ones, so on success or error no phase outlives the call (a resume
+    # never races a writer of the uncommitted round).
+    phase_s: list[dict[str, float]] = []
+    prefetch = None  # this round's (frontier, times, Future[(selected, parsed)])
+    rnd = last
+    pool = ThreadPoolExecutor(max_workers=4, thread_name_prefix="borges-round")
+    try:
+        while rnd < cfg.max_rounds:
+            this_dir = ckpt.round_dir(ckpt_dir, rnd)
+            next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
+            frontier_size = _count_rows(os.path.join(this_dir, "frontier"))
+            if frontier_size == 0:
+                break
+            os.makedirs(next_dir, exist_ok=True)
+            if prefetch is not None:
+                frontier, times, fut = prefetch
+                selected, parsed = fut.result()
+                prefetch = None
+            else:
+                frontier, times, parsed = _read_frontier(this_dir), {}, None
+                selected = _timed(times, "select", _select, frontier, this_dir, rnd)
+            phase_s.append(times)
 
-        hs_thread.join()  # no-op if _launch_prefetch already joined it
-        if hs_err:
-            raise hs_err[0]
-        wc_thread.join()  # metrics below reads the crawled files
-        if wc_err:
-            raise wc_err[0]
-        t0 = time.time()
+            hs = pool.submit(_timed, times, "host_state", _host_state,
+                             selected, this_dir, next_dir, rnd)
+            # hive-partitioned by the url-hash partition: the deferral scan
+            # reads per-partition membership slices instead of a broadcast
+            # set.  Coalesce blocks first — the hive write fans out
+            # blocks×partitions files otherwise
+            sel_dir = os.path.join(next_dir, "selected")
+            _timed(times, "write_sel", selected.repartition(2).write_parquet,
+                   sel_dir, partition_cols=["partition"])
+            defer = pool.submit(_timed, times, "defer", _write_ds_into,
+                                os.path.join(next_dir, "frontier"),
+                                defer_frontier(frontier, sel_dir), "deferred")
+            if parsed is None:
+                parsed = _timed(times, "fetch_parse", _fetch_parse, selected, rnd)
+            wc = pool.submit(_timed, times, "write_crawled", _write_crawled,
+                             parsed, os.path.join(next_dir, "crawled"))
+            split_tally = _timed(times, "gate_split", _gate_split, parsed,
+                                 next_dir, rnd)
 
-        if has_crawled:
-            crawled_t = pq.read_table(crawled_dir,
-                                      columns=["status", "partition", "n_links"]).to_pandas()
-        else:
-            crawled_t = pd.DataFrame({"status": pd.Series(dtype="int32"),
-                                      "partition": pd.Series(dtype="int32"),
-                                      "n_links": pd.Series(dtype="int32")})
-        fetched_rows = crawled_t[crawled_t.status == 200]
-        # every non-200 FETCH is a miss (404 and retry-exhausted 503 alike);
-        # 999 = robots-blocked, never fetched — the oracle's `missed` rule
-        missed_rows = crawled_t[(crawled_t.status != 200) & (crawled_t.status != 999)]
-        # selected-per-partition from the hive layout's parquet METADATA —
-        # row counts only, no data read, no driver copy of the selection
-        sel_counts_rows = []
-        if os.path.isdir(sel_dir):
-            for dname in os.listdir(sel_dir):
-                if not dname.startswith("partition="):
-                    continue
-                p = int(dname.split("=", 1)[1])
-                n = sum(pq.ParquetFile(os.path.join(sel_dir, dname, f)).metadata.num_rows
-                        for f in os.listdir(os.path.join(sel_dir, dname))
-                        if f.endswith(".parquet"))
-                sel_counts_rows.append((p, n))
-        sel_counts = pd.DataFrame(sel_counts_rows, columns=["partition", "selected"]) \
-            if sel_counts_rows else pd.DataFrame({"partition": pd.Series(dtype="int64"),
-                                                  "selected": pd.Series(dtype="int64")})
-        per_part = pd.DataFrame({"partition": range(cfg.num_partitions)})
-        per_part["round"] = rnd
-        per_part = per_part.merge(
-            sel_counts.set_index("partition")["selected"], on="partition", how="left"
-        ).merge(
-            fetched_rows.groupby("partition").size().rename("fetched"), on="partition", how="left"
-        ).merge(
-            missed_rows.groupby("partition").size().rename("missed"), on="partition", how="left"
-        ).merge(
-            fetched_rows.groupby("partition")["n_links"].sum().rename("links_emitted"),
-            on="partition", how="left",
-        )
-        if len(new_counts):
-            nc = new_counts
-            per_part = per_part.merge(
-                nc[~nc["blocked"]].set_index("partition")["n"].rename("links_new"),
-                on="partition", how="left",
-            ).merge(
-                nc[nc["blocked"]].set_index("partition")["n"].rename("blocked"),
-                on="partition", how="left",
-            )
-        else:
-            per_part["links_new"] = 0
-            per_part["blocked"] = 0
-        per_part["frontier_size"] = frontier_size
-        per_part = per_part.fillna(0)
-        for c in ("selected", "fetched", "missed", "blocked", "links_emitted", "links_new", "frontier_size"):
-            per_part[c] = per_part[c].astype("int64")
-        per_part["round"] = per_part["round"].astype("int32")
-        per_part["partition"] = per_part["partition"].astype("int32")
-        m_t = pa.Table.from_pandas(
-            per_part[[f.name for f in schemas.METRICS]], preserve_index=False
-        ).cast(schemas.METRICS)
-        _write_ds_into(os.path.join(next_dir, "metrics"), m_t, "m")
-        _mark("metrics", t0)
-
-        ckpt.commit_round(ckpt_dir, rnd + 1)
-        if timing:
-            with marks_lock:
-                snapshot = dict(marks)
-            print(f"[crawl-timing] round={rnd} total={time.time() - t_round:.2f} "
-                  f"{snapshot}", file=sys.stderr)
-        rnd += 1
+            defer.result()
+            sel_tally = hs.result()
+            if (rnd + 1 < cfg.max_rounds
+                    and _count_rows(os.path.join(next_dir, "frontier"))):
+                nf, nt = _read_frontier(next_dir), {}
+                prefetch = (nf, nt, pool.submit(_prefetch, nf, next_dir, rnd + 1, nt))
+            fetch_tally = wc.result()
+            _timed(times, "metrics", lambda: _write_ds_into(
+                os.path.join(next_dir, "metrics"),
+                _round_metrics(rnd, cfg.num_partitions, frontier_size,
+                               sel_tally, fetch_tally, split_tally), "m"))
+            _timed(times, "commit", ckpt.commit_round, ckpt_dir, rnd + 1)
+            rnd += 1
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
     return {
         "ckpt_dir": ckpt_dir,
@@ -746,6 +659,7 @@ def run_crawl(
             _count_rows(os.path.join(ckpt.round_dir(ckpt_dir, r), "crawled"))
             for r in range(rnd + 1)
         ),
+        "phase_s": phase_s,
     }
 
 
@@ -790,6 +704,7 @@ def _main() -> None:
     [--rounds R] [--flaky] [--night-shift] [--resume]`` — runs the engine on
     the deterministic synthetic web and prints a status summary."""
     import argparse
+    import statistics
     import tempfile
 
     import ray
@@ -830,6 +745,11 @@ def _main() -> None:
     by_status = crawled["status"].value_counts().to_dict()
     print(f"rounds={summary['rounds']} crawled={len(crawled)} "
           f"statuses={by_status} ckpt={os.path.join(work, 'ckpt')}")
+    # median seconds of each round phase, to find a slow one
+    phases = dict.fromkeys(k for times in summary["phase_s"] for k in times)
+    print("phase_s_p50 " + " ".join(
+        f"{k}={statistics.median(t[k] for t in summary['phase_s'] if k in t):.3f}"
+        for k in phases))
     ray.shutdown()
 
 

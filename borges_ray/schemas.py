@@ -96,6 +96,10 @@ ROBOTS = pa.schema(
 #: Per-partition per-round lineage/metrics rows — the reference's per-journal
 #: per-year ledger (``Borges/spiders/Elsevier/paper_index.py:256-283``,
 #: ``Borges/db_scripts/journal_scripts.py:39-71``) as a relational table.
+#: ``frontier_size`` is the size of the WHOLE frontier entering the round
+#: (the same value on every partition row of the round); the oracle's
+#: per-round ``frontier_size`` is taken after the round's enqueue, so it
+#: equals this value plus the round's summed ``links_new``.
 METRICS = pa.schema(
     [
         ("round", pa.int32()),

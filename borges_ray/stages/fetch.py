@@ -433,13 +433,15 @@ class HttpFetchSession:
     production path, exercised here only at the interface level (pytest
     injects a deterministic transport and asserts pacing + contract).
 
-    Pacing: ``min_interval_ms`` per host on a virtual clock.  Each row's
-    scheduled time is ``max(now, next_allowed[host])``; with
-    ``sleep=True`` the actor really waits (deployment), with ``False`` it
-    only records the schedule in ``sched_ms`` (tests assert the per-host
-    gaps without wall-clock cost).  Selection order within a batch is
-    preserved — politeness already interleaves hosts upstream, so the
-    bucket rarely actually blocks.
+    Pacing: ``min_interval_ms`` per host, for EVERY attempt.  Each attempt
+    reserves its host's next slot ``max(now, next_allowed[host])`` and the
+    pending attempts run in slot order, so a retry (5xx / transport error)
+    waits a full interval behind its host's earlier slots while other
+    hosts' rows go ahead on their own schedule.  With ``sleep=True`` the
+    actor really waits (deployment); with ``False`` the clock is virtual
+    and only the schedule is recorded — ``sched_ms`` is each row's first
+    slot — so tests assert per-host gaps without wall-clock cost.  Output
+    rows keep the selection order.
     """
 
     def __init__(self, transport=None, *, min_interval_ms: int = 1000,
@@ -467,46 +469,52 @@ class HttpFetchSession:
 
     def _schedule(self, host: str) -> float:
         """Reserve the host's next slot.  With ``sleep=False`` time is a
-        VIRTUAL clock that only advances to reserved slots (tests read
-        the schedule); with ``sleep=True`` the clock is the real
-        monotonic clock and the caller sleeps until the reserved slot —
-        per HOST, so an interleaved selection of K hosts proceeds at
-        ~K requests per interval, and an idle host never waits."""
+        VIRTUAL clock that only advances as attempts run (tests read the
+        schedule); with ``sleep=True`` the clock is the real monotonic
+        clock and the caller sleeps until the reserved slot — per HOST, so
+        an interleaved selection of K hosts proceeds at ~K requests per
+        interval, and an idle host never waits."""
         import time as _time
 
         now = (_time.monotonic() * 1000.0 if self.sleep else self.clock_ms)
         t = max(now, self.next_allowed.get(host, 0.0))
         self.next_allowed[host] = t + self.min_interval_ms
-        self.clock_ms = t
         return t
 
     def __call__(self, t: pa.Table) -> pa.Table:
+        import heapq
         import time as _time
 
         urls = t["url"].to_pylist()
         hosts = (t["host"].to_pylist() if "host" in t.column_names
                  else [u.split("/")[2] if "//" in u else u for u in urls])
-        statuses, attempts, htmls, sched = [], [], [], []
-        for u, h in zip(urls, hosts):
-            at = self._schedule(h)
+        n = len(urls)
+        statuses, attempts = [0] * n, [0] * n
+        bodies: list = [None] * n
+        # one pending attempt per row, keyed (slot, row): ties keep the
+        # selection order
+        pending = [(self._schedule(h), i) for i, h in enumerate(hosts)]
+        sched = [at for at, _i in pending]
+        heapq.heapify(pending)
+        while pending:
+            at, i = heapq.heappop(pending)
             if self.sleep:
                 wait = at - _time.monotonic() * 1000.0
                 if wait > 0:
                     _time.sleep(wait / 1000.0)
-            s, body, n = 0, None, 0
-            for n in range(1, self.max_attempts + 1):
-                s, body = self.transport(u)
-                if s == 200 or s == 404:
-                    break
-            statuses.append(int(s))
-            attempts.append(int(n))
-            if s == 200 and body is not None:
-                # html is BINARY engine-wide (the corpus column type)
-                htmls.append(body.encode("utf-8") if isinstance(body, str)
-                             else bytes(body))
             else:
-                htmls.append(None)
-            sched.append(at)
+                self.clock_ms = max(self.clock_ms, at)
+            s, bodies[i] = self.transport(urls[i])
+            statuses[i] = int(s)
+            attempts[i] += 1
+            if s not in (200, 404) and attempts[i] < self.max_attempts:
+                heapq.heappush(pending, (self._schedule(hosts[i]), i))
+        htmls = [
+            # html is BINARY engine-wide (the corpus column type)
+            (b.encode("utf-8") if isinstance(b, str) else bytes(b))
+            if s == 200 and b is not None else None
+            for s, b in zip(statuses, bodies)
+        ]
         return (t.append_column("attempts", pa.array(attempts, pa.int64()))
                 .append_column("html", pa.array(htmls, pa.binary()))
                 .append_column("status", pa.array(statuses, pa.int64()))

@@ -380,3 +380,50 @@ def test_robots_allow_carveout_conformance(web, ray_session, tmp_path):
     sibs = [u for u in st.index if "/private/" in u and u != carved]
     assert sibs, "no other /private/ URLs discovered"
     assert all(st[u] == 999 for u in sibs)
+
+
+@pytest.fixture(scope="module")
+def flaky_result(web, ray_session):
+    """Oracle and engine crawls of the same web with the T6 retry model on:
+    (oracle result, engine checkpoint dir)."""
+    pages, seeds, robots, pages_root, root = web
+    pages_map = dict(zip(pages["url"].to_pylist(), pages["html"].to_pylist()))
+    seed_list = list(zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist()))
+    robots_map = {
+        r["host"]: {"disallow_prefixes": r["disallow_prefixes"],
+                    "crawl_delay_ms": r["crawl_delay_ms"]}
+        for r in robots.to_pylist()
+    }
+    oracle = crawl(pages_map, seed_list, robots_map,
+                   CrawlConfig(max_rounds=6, num_partitions=8, flaky=True))
+    cfg = EngineConfig(max_rounds=6, num_partitions=8, num_buckets=4,
+                       num_seen_shards=2, flaky=True)
+    ckpt_dir = os.path.join(root, "ckpt_flaky")
+    run_crawl(pages_root, seeds, robots.to_pandas(), cfg, ckpt_dir, resume=False)
+    return oracle, ckpt_dir
+
+
+@pytest.mark.parametrize("flaky", [False, True], ids=["plain", "flaky"])
+def test_metrics_parity(flaky, request):
+    """The engine's per-partition METRICS, summed per round, equal the
+    oracle's per-round metrics.  ``frontier_size`` is the frontier entering
+    the round (max over partitions — every partition row carries it); the
+    oracle counts its frontier after the round's enqueue, i.e. plus
+    ``links_new``."""
+    from borges_ray.state import checkpoint as ckpt
+
+    if flaky:
+        oracle, ckpt_dir = request.getfixturevalue("flaky_result")
+    else:
+        oracle = request.getfixturevalue("oracle_result")
+        ckpt_dir = request.getfixturevalue("engine_result")[2]
+    m = ckpt.read_all_rounds(ckpt_dir, "metrics",
+                             ckpt.last_committed_round(ckpt_dir)).to_pandas()
+    counts = ["selected", "fetched", "missed", "blocked", "links_emitted", "links_new"]
+    eng = m.groupby("round").agg({**dict.fromkeys(counts, "sum"), "frontier_size": "max"})
+    ora = pd.DataFrame(oracle.metrics).set_index("round")
+    assert list(eng.index) == list(ora.index)
+    for c in counts:
+        assert eng[c].tolist() == ora[c].tolist(), c
+    assert eng["frontier_size"].tolist() == (ora["frontier_size"] - ora["links_new"]).tolist()
+    assert (ora["blocked"] > 0).any() and (ora["missed"] > 0).any()

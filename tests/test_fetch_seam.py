@@ -135,6 +135,35 @@ def test_http_fetch_session_contract(ray_session):
         assert all(b - a >= 750 for a, b in zip(s, s[1:])), (host, s)
 
 
+def test_http_fetch_session_paces_retries(ray_session):
+    """Every attempt, retries included, takes its host's next slot: a host
+    that always answers 503 waits ``min_interval_ms`` between attempts,
+    while a healthy host interleaved with it keeps its own schedule."""
+    interval = 500
+    log: list[tuple[str, float]] = []
+
+    def transport(url: str):
+        host = url.split("/")[2]
+        log.append((host, fs.clock_ms))
+        return (503, None) if host == "down.com" else (200, "<x>")
+
+    fs = HttpFetchSession(transport, min_interval_ms=interval, max_attempts=3)
+    out = fs(pa.table({
+        "url": ["http://down.com/1", "http://up.com/1",
+                "http://down.com/2", "http://up.com/2"],
+        "host": ["down.com", "up.com", "down.com", "up.com"],
+    })).to_pandas().set_index("url")
+
+    down = [at for h, at in log if h == "down.com"]
+    assert len(down) == 6  # 2 rows × max_attempts
+    assert all(b - a >= interval for a, b in zip(down, down[1:])), down
+    # the healthy host is not held behind the 503 host's retries
+    assert [at for h, at in log if h == "up.com"] == [0.0, interval]
+    assert list(out["status"]) == [503, 200, 503, 200]
+    assert list(out["attempts"]) == [3, 1, 3, 1]
+    assert list(out["sched_ms"]) == [0.0, 0.0, interval, interval]
+
+
 def test_http_fetcher_through_engine(web, ray_session, tmp_path):
     """End-to-end: the HTTP skeleton drives a crawl through the seam, with
     the transport answering from the synthetic corpus — identical crawled
