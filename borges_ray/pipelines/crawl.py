@@ -535,9 +535,13 @@ def run_crawl(
     def _prefetch(frontier: rd.Dataset, round_dir: str, r: int, times: dict):
         # round r's selection AND fetch-join + parse, run while round r-1's
         # tail finishes.  Nothing is persisted (round r writes the pinned
-        # results itself), so crash/resume semantics are unchanged.
-        selected = _timed(times, "select", _select, frontier, round_dir, r)
-        return selected, _timed(times, "fetch_parse", _fetch_parse, selected, r)
+        # results itself), so crash/resume semantics are unchanged.  Timed
+        # in round r-1's ``times`` under ``prefetch_*``: that is the wall
+        # they overlap, and round r times only its wait for them.
+        selected = _timed(times, "prefetch_select", _select, frontier,
+                          round_dir, r)
+        return selected, _timed(times, "prefetch_fetch_parse", _fetch_parse,
+                                selected, r)
 
     def _host_state(selected: rd.Dataset, this_dir: str, next_dir: str,
                     r: int) -> pd.Series:
@@ -595,9 +599,11 @@ def run_crawl(
     # r+1 takes its result instead of running select + fetch_parse itself.
     # The ``finally`` cancels futures not yet started and waits for running
     # ones, so on success or error no phase outlives the call (a resume
-    # never races a writer of the uncommitted round).
+    # never races a writer of the uncommitted round).  Each round's times
+    # also carry ``total`` (its wall seconds, start to commit), so
+    # Σphase / total is the round's overlap.
     phase_s: list[dict[str, float]] = []
-    prefetch = None  # this round's (frontier, times, Future[(selected, parsed)])
+    prefetch = None  # this round's (frontier, Future[(selected, parsed)])
     rnd = last
     pool = ThreadPoolExecutor(max_workers=4, thread_name_prefix="borges-round")
     try:
@@ -608,14 +614,15 @@ def run_crawl(
             if frontier_size == 0:
                 break
             os.makedirs(next_dir, exist_ok=True)
+            t_round, times = time.perf_counter(), {}
+            phase_s.append(times)
             if prefetch is not None:
-                frontier, times, fut = prefetch
-                selected, parsed = fut.result()
+                frontier, fut = prefetch
+                selected, parsed = _timed(times, "prefetch_wait", fut.result)
                 prefetch = None
             else:
-                frontier, times, parsed = _read_frontier(this_dir), {}, None
+                frontier, parsed = _read_frontier(this_dir), None
                 selected = _timed(times, "select", _select, frontier, this_dir, rnd)
-            phase_s.append(times)
 
             hs = pool.submit(_timed, times, "host_state", _host_state,
                              selected, this_dir, next_dir, rnd)
@@ -640,14 +647,16 @@ def run_crawl(
             sel_tally = hs.result()
             if (rnd + 1 < cfg.max_rounds
                     and _count_rows(os.path.join(next_dir, "frontier"))):
-                nf, nt = _read_frontier(next_dir), {}
-                prefetch = (nf, nt, pool.submit(_prefetch, nf, next_dir, rnd + 1, nt))
+                nf = _read_frontier(next_dir)
+                prefetch = (nf, pool.submit(_prefetch, nf, next_dir, rnd + 1,
+                                            times))
             fetch_tally = wc.result()
             _timed(times, "metrics", lambda: _write_ds_into(
                 os.path.join(next_dir, "metrics"),
                 _round_metrics(rnd, cfg.num_partitions, frontier_size,
                                sel_tally, fetch_tally, split_tally), "m"))
             _timed(times, "commit", ckpt.commit_round, ckpt_dir, rnd + 1)
+            times["total"] = round(time.perf_counter() - t_round, 4)
             rnd += 1
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

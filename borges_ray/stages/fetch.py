@@ -433,15 +433,19 @@ class HttpFetchSession:
     production path, exercised here only at the interface level (pytest
     injects a deterministic transport and asserts pacing + contract).
 
-    Pacing: ``min_interval_ms`` per host, for EVERY attempt.  Each attempt
-    reserves its host's next slot ``max(now, next_allowed[host])`` and the
-    pending attempts run in slot order, so a retry (5xx / transport error)
-    waits a full interval behind its host's earlier slots while other
-    hosts' rows go ahead on their own schedule.  With ``sleep=True`` the
-    actor really waits (deployment); with ``False`` the clock is virtual
-    and only the schedule is recorded — ``sched_ms`` is each row's first
-    slot — so tests assert per-host gaps without wall-clock cost.  Output
-    rows keep the selection order.
+    Pacing: ``min_interval_ms`` per host, for EVERY attempt.  A host's
+    slot is taken when its request is SENT, so consecutive sends to one
+    host are at least the interval apart however long other hosts'
+    requests took.  Hosts are served in the order they come free, each
+    host's rows in selection order; a retry (5xx / transport error) waits
+    a full interval behind its host's last send while other hosts' rows
+    go ahead on their own schedule.
+    With ``sleep=True`` the actor really waits on the monotonic clock
+    (deployment); with ``False`` the clock is virtual (``clock_ms``, which
+    an injected transport may advance to model latency) and nothing
+    sleeps, so tests assert per-host gaps without wall-clock cost.
+    ``sched_ms`` is each row's first send time.  Output rows keep the
+    selection order.
     """
 
     def __init__(self, transport=None, *, min_interval_ms: int = 1000,
@@ -467,23 +471,24 @@ class HttpFetchSession:
         self.next_allowed: dict[str, float] = {}
         self.clock_ms = 0.0
 
-    def _schedule(self, host: str) -> float:
-        """Reserve the host's next slot.  With ``sleep=False`` time is a
-        VIRTUAL clock that only advances as attempts run (tests read the
-        schedule); with ``sleep=True`` the clock is the real monotonic
-        clock and the caller sleeps until the reserved slot — per HOST, so
-        an interleaved selection of K hosts proceeds at ~K requests per
-        interval, and an idle host never waits."""
+    def _wait_until(self, at: float) -> float:
+        """Wait until ``at`` and return the send time.  With ``sleep=True``
+        the clock is the real monotonic clock; with ``False`` it is the
+        VIRTUAL ``clock_ms``, which only moves forward to ``at`` here or
+        when the transport advances it."""
         import time as _time
 
-        now = (_time.monotonic() * 1000.0 if self.sleep else self.clock_ms)
-        t = max(now, self.next_allowed.get(host, 0.0))
-        self.next_allowed[host] = t + self.min_interval_ms
-        return t
+        if not self.sleep:
+            self.clock_ms = max(self.clock_ms, at)
+            return self.clock_ms
+        wait = at - _time.monotonic() * 1000.0
+        if wait > 0:
+            _time.sleep(wait / 1000.0)
+        return _time.monotonic() * 1000.0
 
     def __call__(self, t: pa.Table) -> pa.Table:
         import heapq
-        import time as _time
+        from collections import deque
 
         urls = t["url"].to_pylist()
         hosts = (t["host"].to_pylist() if "host" in t.column_names
@@ -491,24 +496,33 @@ class HttpFetchSession:
         n = len(urls)
         statuses, attempts = [0] * n, [0] * n
         bodies: list = [None] * n
-        # one pending attempt per row, keyed (slot, row): ties keep the
-        # selection order
-        pending = [(self._schedule(h), i) for i, h in enumerate(hosts)]
-        sched = [at for at, _i in pending]
-        heapq.heapify(pending)
-        while pending:
-            at, i = heapq.heappop(pending)
-            if self.sleep:
-                wait = at - _time.monotonic() * 1000.0
-                if wait > 0:
-                    _time.sleep(wait / 1000.0)
-            else:
-                self.clock_ms = max(self.clock_ms, at)
+        sched = [0.0] * n
+        # each host's pending rows in selection order; a retry goes back to
+        # the head of its host's queue
+        queues: dict[str, deque] = {}
+        for i, h in enumerate(hosts):
+            queues.setdefault(h, deque()).append(i)
+        # one entry per host with pending rows, keyed (host free, head
+        # row): the host's slot is only taken when its request is actually
+        # sent — per HOST, so K interleaved hosts proceed at ~K requests
+        # per interval and an idle host never waits
+        ready = [(self.next_allowed.get(h, 0.0), q[0], h)
+                 for h, q in queues.items()]
+        heapq.heapify(ready)
+        while ready:
+            at, i, h = heapq.heappop(ready)
+            queues[h].popleft()
+            sent = self._wait_until(at)
+            self.next_allowed[h] = sent + self.min_interval_ms
+            if attempts[i] == 0:
+                sched[i] = sent
             s, bodies[i] = self.transport(urls[i])
             statuses[i] = int(s)
             attempts[i] += 1
             if s not in (200, 404) and attempts[i] < self.max_attempts:
-                heapq.heappush(pending, (self._schedule(hosts[i]), i))
+                queues[h].appendleft(i)
+            if queues[h]:
+                heapq.heappush(ready, (self.next_allowed[h], queues[h][0], h))
         htmls = [
             # html is BINARY engine-wide (the corpus column type)
             (b.encode("utf-8") if isinstance(b, str) else bytes(b))

@@ -20,8 +20,11 @@ N_PAGES = 300
 SEED = 42
 CFG = dict(max_rounds=4, num_partitions=8, num_buckets=4, num_seen_shards=2)
 FAIL_ROUND = 2
-PHASES = {"select", "host_state", "write_sel", "defer", "fetch_parse",
-          "write_crawled", "gate_split", "metrics", "commit"}
+# timed in every round; the first round of a call selects and fetches
+# in-line, later rounds wait on the prefetch the round before launched
+PHASES = {"host_state", "write_sel", "defer", "write_crawled", "gate_split",
+          "metrics", "commit", "total"}
+PREFETCH = {"prefetch_select", "prefetch_fetch_parse"}
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +55,14 @@ def test_summary_carries_phase_seconds_per_round(full):
     summary, _ = full
     assert summary["rounds"] == CFG["max_rounds"]
     assert len(summary["phase_s"]) == summary["rounds"]
-    for times in summary["phase_s"]:
-        assert set(times) == PHASES
+    last = summary["rounds"] - 1
+    for r, times in enumerate(summary["phase_s"]):
+        in_line = {"select", "fetch_parse"} if r == 0 else {"prefetch_wait"}
+        assert set(times) == PHASES | in_line | (PREFETCH if r < last else set())
         assert all(s >= 0 for s in times.values())
+        # every in-round phase, futures included, ends before the commit
+        assert times["total"] >= max(
+            s for k, s in times.items() if k not in PREFETCH)
 
 
 def _fails_in_round(fn, hit):

@@ -135,33 +135,65 @@ def test_http_fetch_session_contract(ray_session):
         assert all(b - a >= 750 for a, b in zip(s, s[1:])), (host, s)
 
 
+def _timed_transport(latency_ms: dict[str, float], status: dict[str, int]):
+    """Transport on the session's virtual clock: logs each send as
+    ``(host, send_ms)`` and advances ``fs.clock_ms`` by the host's latency.
+    Bind the session with ``transport.fs = fs`` before calling it."""
+    log: list[tuple[str, float]] = []
+
+    def transport(url: str):
+        host = url.split("/")[2]
+        log.append((host, transport.fs.clock_ms))
+        transport.fs.clock_ms += latency_ms.get(host, 0.0)
+        s = status.get(host, 200)
+        return (s, "<x>" if s == 200 else None)
+
+    transport.log = log
+    return transport
+
+
+def _sends(log, host):
+    return [at for h, at in log if h == host]
+
+
 def test_http_fetch_session_paces_retries(ray_session):
     """Every attempt, retries included, takes its host's next slot: a host
     that always answers 503 waits ``min_interval_ms`` between attempts,
     while a healthy host interleaved with it keeps its own schedule."""
     interval = 500
-    log: list[tuple[str, float]] = []
-
-    def transport(url: str):
-        host = url.split("/")[2]
-        log.append((host, fs.clock_ms))
-        return (503, None) if host == "down.com" else (200, "<x>")
-
-    fs = HttpFetchSession(transport, min_interval_ms=interval, max_attempts=3)
+    tr = _timed_transport({"down.com": 200.0}, {"down.com": 503})
+    fs = tr.fs = HttpFetchSession(tr, min_interval_ms=interval,
+                                  max_attempts=3)
     out = fs(pa.table({
         "url": ["http://down.com/1", "http://up.com/1",
                 "http://down.com/2", "http://up.com/2"],
         "host": ["down.com", "up.com", "down.com", "up.com"],
     })).to_pandas().set_index("url")
 
-    down = [at for h, at in log if h == "down.com"]
+    down = _sends(tr.log, "down.com")
     assert len(down) == 6  # 2 rows × max_attempts
     assert all(b - a >= interval for a, b in zip(down, down[1:])), down
-    # the healthy host is not held behind the 503 host's retries
-    assert [at for h, at in log if h == "up.com"] == [0.0, interval]
+    # the healthy host is not held behind the 503 host's retries: its
+    # first row goes once down.com/1's 200 ms request returns, its second
+    # exactly one interval later
+    assert _sends(tr.log, "up.com") == [200.0, 200.0 + interval]
     assert list(out["status"]) == [503, 200, 503, 200]
     assert list(out["attempts"]) == [3, 1, 3, 1]
-    assert list(out["sched_ms"]) == [0.0, 0.0, interval, interval]
+    assert list(out["sched_ms"]) == [0.0, 200.0, 3 * interval,
+                                     200.0 + interval]
+
+
+def test_http_fetch_session_gap_survives_slow_host(ray_session):
+    """A slow request on one host delays the next host's first send; that
+    host's following send still waits a full interval after it was
+    actually sent, not after when it was first due."""
+    interval = 1000
+    tr = _timed_transport({"b.com": 950.0}, {})
+    fs = tr.fs = HttpFetchSession(tr, min_interval_ms=interval)
+    fs(pa.table({"url": ["http://b.com/1", "http://a.com/1",
+                         "http://a.com/2"],
+                 "host": ["b.com", "a.com", "a.com"]}))
+    assert _sends(tr.log, "a.com") == [950.0, 950.0 + interval]
 
 
 def test_http_fetcher_through_engine(web, ray_session, tmp_path):
