@@ -100,8 +100,8 @@ class EngineConfig:
     # Downloader-middleware hook points (the reference's Scrapy middleware
     # stack surface, Borges/settings.py:93-104): request middlewares map
     # over the SELECTION before fetch (drop/rewrite rows), response
-    # middlewares over the fetched rows before parse.  Each entry is a
-    # pandas-batch callable ``df -> df``.
+    # middlewares over the fetched rows before parse.  Each entry is an
+    # Arrow-batch callable ``pa.Table -> pa.Table``.
     request_middlewares: tuple = ()
     response_middlewares: tuple = ()
 
@@ -482,7 +482,7 @@ def run_crawl(
         ``render``, on browser-handle actors (S12) — identical rows,
         bookkeeping columns dropped before parse."""
         for mw in cfg.request_middlewares:
-            sel = sel.map_batches(mw, batch_format="pandas")
+            sel = sel.map_batches(mw, batch_format="pyarrow")
         if cfg.fetcher is not None:
             fetched = cfg.fetcher(sel, cfg, rnd_tag)
         elif cfg.render:
@@ -501,7 +501,7 @@ def run_crawl(
             fetched = fetch_selected(sel, pages_root, cfg.num_buckets,
                                      flaky=cfg.flaky)
         for mw in cfg.response_middlewares:
-            fetched = fetched.map_batches(mw, batch_format="pandas")
+            fetched = fetched.map_batches(mw, batch_format="pyarrow")
         # The fetch emits ONE block per corpus bucket, so parse parallelism
         # was capped at num_buckets and skewed by the hottest bucket (a
         # single 3k-row block serialized 5+ s of per-page extraction).

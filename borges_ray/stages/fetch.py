@@ -12,19 +12,24 @@ frontier by bucket (tiny shuffle), then each group reads ONLY its bucket's
 files with an ``isin`` filter pushed into the Parquet scan.  The 100 TB
 corpus is never shuffled and never fully scanned per round.
 
+:func:`probe_pages` is the ONE probe: the stateless path
+(:func:`fetch_selected`) runs it per bucket group, and the session actors
+(:class:`FetchSession` key rotation, :class:`RenderSession` render
+timing) run it on their Arrow batch and add only their per-row policy.
+
 The fetch stage is PLUGGABLE: ``EngineConfig.fetcher`` selects any
 callable ``(selected, cfg, rnd) -> Dataset`` honoring the fetch contract
 (status/attempts/html) — :class:`HttpFetchSession` below is the actor-pool
 HTTP skeleton (session state in ``__init__``, per-host token bucket) a
 real deployment selects; everything downstream is unchanged.  Request /
-response middleware hooks wrap the stage (``Borges/settings.py:93-104``).
+response middleware hooks (``pa.Table -> pa.Table``) wrap the stage
+(``Borges/settings.py:93-104``).
 """
 
 from __future__ import annotations
 
 import os
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -66,14 +71,16 @@ def apply_flaky(url: str, status: int) -> tuple[int, int]:
     return 200, fails + 1
 
 
-def bucket_of_urls(urls: pd.Series | list[str], num_buckets: int) -> list[int]:
-    return [stable_hash(u) % num_buckets for u in urls]
+def _with_bucket(t: pa.Table, num_buckets: int) -> pa.Table:
+    """``t`` plus the ``pbucket`` column: each url's stable hash mod
+    ``num_buckets`` — the corpus layout and every probe agree on it."""
+    b = [stable_hash(u) % num_buckets for u in t["url"].to_pylist()]
+    return t.append_column(BUCKET_COL, pa.array(b, pa.int32()))
 
 
 def write_pages_bucketed(pages: pa.Table, root: str, num_buckets: int = 16) -> None:
     """Lay the corpus out hash-bucketed by url (one dir per bucket)."""
-    buckets = pa.array(bucket_of_urls(pages["url"].to_pylist(), num_buckets), pa.int32())
-    t = pages.append_column(BUCKET_COL, buckets)
+    t = _with_bucket(pages, num_buckets)
     for b in range(num_buckets):
         sub = t.filter(pc.equal(t[BUCKET_COL], pa.scalar(b, pa.int32())))
         d = os.path.join(root, f"{BUCKET_COL}={b}")
@@ -84,14 +91,54 @@ def write_pages_bucketed(pages: pa.Table, root: str, num_buckets: int = 16) -> N
 def write_pages_bucketed_ds(pages_ds: rd.Dataset, root: str, num_buckets: int = 16) -> None:
     """Same layout, written distributed: add the bucket column per batch and
     let ``write_parquet`` partition on it (for the bench-scale corpus)."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pa.array(bucket_of_urls(t["url"].to_pylist(), num_buckets), pa.int32())
-        return t.append_column(BUCKET_COL, b)
-
-    pages_ds.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
+    pages_ds.map_batches(_with_bucket, batch_format="pyarrow",
+                         fn_args=(num_buckets,)).write_parquet(
         root, partition_cols=[BUCKET_COL]
     )
+
+
+def probe_pages(t: pa.Table, pages_root: str, flaky: bool = False) -> pa.Table:
+    """THE corpus probe: ``t`` (carrying ``pbucket``) → ``t`` without it,
+    plus (attempts, html, status), in input row order.
+
+    Each distinct bucket's Parquet files are scanned once with an ``isin``
+    filter pushed into the scan; the hits stay an Arrow column from the
+    scan through the output (no Python dict of page payloads) and are
+    matched back to the rows with ``index_in`` + ``take`` — nulls are the
+    404s.  With ``flaky`` the deterministic retry model applies (T6)."""
+    out = t.drop_columns([BUCKET_COL])
+    urls = out["url"].combine_chunks()
+    buckets = t[BUCKET_COL].combine_chunks()
+    hits = []
+    for b in pc.unique(buckets).to_pylist():
+        path = os.path.join(pages_root, f"{BUCKET_COL}={int(b)}")
+        if os.path.isdir(path):
+            want = urls.filter(pc.equal(buckets, b))
+            hits.append(pads.dataset(path, format="parquet").to_table(
+                columns=["url", "html"], filter=pc.field("url").isin(want)))
+    hit = pa.concat_tables(hits) if hits else pa.table(
+        {"url": pa.array([], pa.string()), "html": pa.array([], pa.binary())})
+    idx = pc.index_in(urls, value_set=hit["url"].combine_chunks())
+    html = pc.take(hit["html"].combine_chunks(), idx)
+    # status comes from URL membership, not html validity: a corpus row
+    # with a stored-NULL payload is still a 200
+    status = pc.if_else(pc.is_valid(idx), pa.scalar(200, pa.int64()),
+                        pa.scalar(404, pa.int64()))
+    if flaky:
+        # the retry model hashes each url (T6) — per-row by nature, but the
+        # selection is politeness-bounded so the loop is tiny relative to
+        # the payload column, which never leaves Arrow
+        pairs = [apply_flaky(u, s) for u, s in
+                 zip(urls.to_pylist(), status.to_pylist())]
+        status = pa.array([p[0] for p in pairs], pa.int64())
+        attempts = pa.array([p[1] for p in pairs], pa.int64())
+        html = pc.if_else(pc.equal(status, 200), html,
+                          pa.nulls(len(out), html.type))
+    else:
+        attempts = pa.array([1] * len(out), pa.int64())
+    return (out.append_column("attempts", attempts)
+            .append_column("html", html)
+            .append_column("status", status))
 
 
 def fetch_selected(selected: rd.Dataset, pages_root: str, num_buckets: int,
@@ -100,63 +147,16 @@ def fetch_selected(selected: rd.Dataset, pages_root: str, num_buckets: int,
     + (status, attempts, html): left-join against the bucketed corpus.
 
     One ``groupby(bucket)`` over the politeness-bounded selection (tiny
-    shuffle), then a bucket-local Parquet probe per group.  With ``flaky``
-    the deterministic transient-failure + retry model applies (T6):
+    shuffle), then :func:`probe_pages` per group.  With ``flaky`` the
+    deterministic transient-failure + retry model applies (T6):
     exhausted retries become status-503 error rows that flow to metrics
     instead of failing the job (the reference's except-pass ≈
     error-row-and-continue, SURVEY.md §4 Retries).
     """
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pa.array(bucket_of_urls(t["url"].to_pylist(), num_buckets),
-                     pa.int32())
-        return t.append_column(BUCKET_COL, b)
-
-    bucketed = selected.map_batches(add_bucket, batch_format="pyarrow")
-
-    def probe(t: pa.Table) -> pa.Table:
-        """Arrow end-to-end: the bucket's hits stay an Arrow string column
-        from the Parquet scan through the output block (no Python dict of
-        page payloads), matched back to the frontier order with
-        ``index_in`` + ``take`` — nulls are the 404s."""
-        b = t[BUCKET_COL][0].as_py()
-        path = os.path.join(pages_root, f"{BUCKET_COL}={int(b)}")
-        out = t.drop_columns([BUCKET_COL])
-        urls = out["url"].combine_chunks() if out["url"].num_chunks != 1 \
-            else out["url"].chunk(0)
-        if os.path.isdir(path):
-            dset = pads.dataset(path, format="parquet")
-            hit = dset.to_table(columns=["url", "html"],
-                                filter=pc.field("url").isin(urls))
-        else:
-            hit = pa.table({"url": pa.array([], pa.string()),
-                            "html": pa.array([], pa.binary())})
-        idx = pc.index_in(urls, value_set=hit["url"].combine_chunks())
-        html = pc.take(hit["html"].combine_chunks(), idx)
-        # status comes from URL membership, not html validity: a corpus
-        # row with a stored-NULL payload is still a 200 (the old
-        # dict-membership contract)
-        status = pc.if_else(pc.is_valid(idx),
-                            pa.scalar(200, pa.int64()),
-                            pa.scalar(404, pa.int64()))
-        if flaky:
-            # the retry model hashes each url (T6) — per-row by nature,
-            # but the selection is politeness-bounded so the loop is tiny
-            # relative to the payload column, which never leaves Arrow
-            pairs = [apply_flaky(u, s) for u, s in
-                     zip(urls.to_pylist(), status.to_pylist())]
-            status = pa.array([p[0] for p in pairs], pa.int64())
-            attempts = pa.array([p[1] for p in pairs], pa.int64())
-            html = pc.if_else(pc.equal(status, 200), html,
-                              pa.nulls(len(out), html.type))
-        else:
-            attempts = pa.array([1] * len(out), pa.int64())
-        return (out.append_column("attempts", attempts)
-                .append_column("html", html)
-                .append_column("status", status))
-
-    return bucketed.groupby(BUCKET_COL).map_groups(probe,
-                                                   batch_format="pyarrow")
+    bucketed = selected.map_batches(_with_bucket, batch_format="pyarrow",
+                                    fn_args=(num_buckets,))
+    return bucketed.groupby(BUCKET_COL).map_groups(
+        probe_pages, batch_format="pyarrow", fn_args=(pages_root, flaky))
 
 
 class FetchSession:
@@ -199,46 +199,15 @@ class FetchSession:
             self.key_idx = 0
             self.pool_exhausted_events += 1
 
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        out_parts = []
-        tmp = df.copy()
-        tmp[BUCKET_COL] = bucket_of_urls(tmp["url"], self.num_buckets)
-        for b, g in tmp.groupby(BUCKET_COL, sort=False):
-            path = os.path.join(self.pages_root, f"{BUCKET_COL}={int(b)}")
-            urls = g["url"].tolist()
-            if os.path.isdir(path):
-                dset = pads.dataset(path, format="parquet")
-                hit = dset.to_table(columns=["url", "html"],
-                                    filter=pc.field("url").isin(urls))
-                hits = dict(zip(hit["url"].to_pylist(), hit["html"].to_pylist()))
-            else:
-                hits = {}
-            o = g.drop(columns=[BUCKET_COL]).copy()
-            statuses, attempts, key_idxs = [], [], []
-            for u in urls:
-                s = 200 if u in hits else 404
-                a = 1
-                if self.flaky:
-                    s, a = apply_flaky(u, s)
-                    if s == 503:   # quota-style exhaustion → rotate key
-                        self._rotate()
-                statuses.append(s)
-                attempts.append(a)
-                key_idxs.append(self.key_idx)
-            o["attempts"] = attempts
-            o["html"] = [hits.get(u) if s == 200 else None
-                         for u, s in zip(urls, statuses)]
-            o["status"] = statuses
-            o["key_idx"] = pd.Series(key_idxs, index=o.index, dtype="int32")
-            out_parts.append(o)
-        if not out_parts:
-            out = df.copy()
-            for c, d in (("attempts", "int64"), ("status", "int64")):
-                out[c] = pd.Series(dtype=d)
-            out["html"] = pd.Series(dtype=object)
-            out["key_idx"] = pd.Series(dtype="int32")
-            return out
-        return pd.concat(out_parts, ignore_index=True)
+    def __call__(self, t: pa.Table) -> pa.Table:
+        out = probe_pages(_with_bucket(t, self.num_buckets), self.pages_root,
+                          self.flaky)
+        key_idxs = []
+        for s in out["status"].to_pylist():
+            if s == 503:   # quota-style exhaustion → rotate key
+                self._rotate()
+            key_idxs.append(self.key_idx)
+        return out.append_column("key_idx", pa.array(key_idxs, pa.int32()))
 
 
 def fetch_selected_sessions(selected: rd.Dataset, pages_root: str,
@@ -252,7 +221,7 @@ def fetch_selected_sessions(selected: rd.Dataset, pages_root: str,
         fn_constructor_kwargs={"pages_root": pages_root,
                                "num_buckets": num_buckets,
                                "api_keys": tuple(api_keys), "flaky": flaky},
-        batch_format="pandas",
+        batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
     )
@@ -321,61 +290,33 @@ class RenderSession:
             1 for i in range(n_res)
             if stable_hash(f"res:{url}:{i}") % 30_000 >= self.resource_timeout_ms)
 
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        out_parts = []
-        tmp = df.copy()
-        tmp[BUCKET_COL] = bucket_of_urls(tmp["url"], self.num_buckets)
-        for b, g in tmp.groupby(BUCKET_COL, sort=False):
-            path = os.path.join(self.pages_root, f"{BUCKET_COL}={int(b)}")
-            urls = g["url"].tolist()
-            if os.path.isdir(path):
-                dset = pads.dataset(path, format="parquet")
-                hit = dset.to_table(columns=["url", "html"],
-                                    filter=pc.field("url").isin(urls))
-                hits = dict(zip(hit["url"].to_pylist(), hit["html"].to_pylist()))
-            else:
-                hits = {}
-            o = g.drop(columns=[BUCKET_COL]).copy()
-            statuses, attempts, render_ms, handle_gens, res_skipped = \
-                [], [], [], [], []
-            for u in urls:
-                s = 200 if u in hits else 404
-                a = 1
-                if self.flaky:
-                    s, a = apply_flaky(u, s)
-                r = 0
-                skipped = 0
-                if s == 200:
-                    r = self.render_ms_of(u)
-                    skipped = self.resources_skipped_of(u)
-                    if r >= self.timeout_ms:
-                        s = 504  # render timeout: page dropped, html None
-                    self.pages_rendered += 1
-                    if self.pages_rendered >= self.pages_per_handle:
-                        self._open_handle()
-                statuses.append(s)
-                attempts.append(a)
-                render_ms.append(r)
-                handle_gens.append(self.handle_gen)
-                res_skipped.append(skipped)
-            o["attempts"] = attempts
-            o["html"] = [hits.get(u) if s == 200 else None
-                         for u, s in zip(urls, statuses)]
-            o["status"] = statuses
-            o["render_ms"] = pd.Series(render_ms, index=o.index, dtype="int64")
-            o["handle_gen"] = pd.Series(handle_gens, index=o.index, dtype="int32")
-            o["resources_skipped"] = pd.Series(res_skipped, index=o.index,
-                                               dtype="int32")
-            out_parts.append(o)
-        if not out_parts:
-            out = df.copy()
-            for c, d in (("attempts", "int64"), ("status", "int64"),
-                         ("render_ms", "int64"), ("handle_gen", "int32"),
-                         ("resources_skipped", "int32")):
-                out[c] = pd.Series(dtype=d)
-            out["html"] = pd.Series(dtype=object)
-            return out
-        return pd.concat(out_parts, ignore_index=True)
+    def __call__(self, t: pa.Table) -> pa.Table:
+        out = probe_pages(_with_bucket(t, self.num_buckets), self.pages_root,
+                          self.flaky)
+        render_ms, handle_gens, res_skipped = [], [], []
+        for u, s in zip(out["url"].to_pylist(), out["status"].to_pylist()):
+            r = skipped = 0
+            if s == 200:
+                r = self.render_ms_of(u)
+                skipped = self.resources_skipped_of(u)
+                self.pages_rendered += 1
+                if self.pages_rendered >= self.pages_per_handle:
+                    self._open_handle()
+            render_ms.append(r)
+            handle_gens.append(self.handle_gen)
+            res_skipped.append(skipped)
+        render = pa.array(render_ms, pa.int64())
+        # render timeout: the page is dropped — status 504, html null
+        late = pc.and_(pc.equal(out["status"], 200),
+                       pc.greater_equal(render, self.timeout_ms))
+        html = pa.scalar(None, out.schema.field("html").type)
+        return (out.drop_columns(["html", "status"])
+                .append_column("html", pc.if_else(late, html, out["html"]))
+                .append_column("status", pc.if_else(late, 504, out["status"]))
+                .append_column("render_ms", render)
+                .append_column("handle_gen", pa.array(handle_gens, pa.int32()))
+                .append_column("resources_skipped",
+                               pa.array(res_skipped, pa.int32())))
 
 
 def fetch_selected_render(selected: rd.Dataset, pages_root: str,
@@ -396,7 +337,7 @@ def fetch_selected_render(selected: rd.Dataset, pages_root: str,
                                "timeout_ms": timeout_ms,
                                "resource_timeout_ms": resource_timeout_ms,
                                "flaky": flaky},
-        batch_format="pandas",
+        batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
     )
@@ -427,11 +368,13 @@ class HttpFetchSession:
     reference's ``aip_spider.py:16-64`` POST) and every batch row is
     fetched through it, paced by a per-host token bucket.
 
-    No network exists in this sandbox, so the transport is INJECTED: pass
-    ``transport(url) -> (status, body)``.  With ``transport=None`` the
-    actor builds a stdlib ``urllib`` opener and performs real GETs — the
-    production path, exercised here only at the interface level (pytest
-    injects a deterministic transport and asserts pacing + contract).
+    The transport is INJECTABLE: pass ``transport(url) -> (status,
+    body)``.  With ``transport=None`` the actor builds a stdlib ``urllib``
+    opener and performs real GETs — the production path: an HTTP error
+    answer keeps its status (a 404 is not retried), a transport failure
+    is 599, and body bytes pass through undecoded.  The tests drive it
+    against a loopback ``http.server`` and inject deterministic transports
+    to assert pacing + contract.
 
     Pacing: ``min_interval_ms`` per host, for EVERY attempt.  A host's
     slot is taken when its request is SENT, so consecutive sends to one
@@ -453,14 +396,19 @@ class HttpFetchSession:
                  timeout_s: float = 30.0, sleep: bool = False,
                  headers: tuple = ()):
         if transport is None:
+            import urllib.error
             import urllib.request
             opener = urllib.request.build_opener()
             opener.addheaders = list(headers) or opener.addheaders
 
-            def transport(url: str) -> tuple[int, str | None]:
+            def transport(url: str) -> tuple[int, bytes | None]:
+                # raw body bytes; an HTTP error answer keeps its status
                 try:
                     with opener.open(url, timeout=timeout_s) as r:
-                        return r.status, r.read().decode("utf-8", "replace")
+                        return r.status, r.read()
+                except urllib.error.HTTPError as e:
+                    e.close()
+                    return e.code, None
                 except Exception:
                     return 599, None
 

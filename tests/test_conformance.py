@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from borges_ray.pipelines.crawl import (
@@ -228,7 +229,7 @@ def test_session_fetch_parity_and_key_rotation(web, ray_session, tmp_path):
     # drive a batch through __call__: statuses match the stateless model
     sel = a.reset_index()[["url"]].head(40).copy()
     sel["host"] = sel["url"].str.split("/", n=3).str[2]
-    out = fs(sel)
+    out = fs(pa.Table.from_pandas(sel, preserve_index=False)).to_pandas()
     flaky_expected = collect_crawled(ck_a).to_pandas().set_index("url")
     for _, r in out.iterrows():
         if r["url"] in flaky_expected.index:
@@ -271,12 +272,12 @@ def test_render_fetch_parity_and_timeout(web, ray_session, tmp_path):
     sel = a.reset_index()[["url"]].head(20).copy()
     ok_urls = a[a.status == 200].index
     sel = sel[sel.url.isin(ok_urls)].reset_index(drop=True)
-    out = rs(sel)
+    out = rs(pa.Table.from_pandas(sel, preserve_index=False)).to_pandas()
     assert (out.status == 200).all()
     assert out.handle_gen.max() > 1          # recycled at least once
     assert (out.render_ms < rs.render_wait_ms // 2).all()
     tight = RenderSession(pages_root, 4, timeout_ms=1)
-    out2 = tight(sel)
+    out2 = tight(pa.Table.from_pandas(sel, preserve_index=False)).to_pandas()
     assert (out2.status == 504).all() and out2.html.isna().all()
 
 
@@ -310,17 +311,15 @@ def test_render_resource_timeout_partial(web, ray_session):
     without failing the page — a tight budget yields 200-status pages
     with resources_skipped > 0 and unchanged html; the reference default
     (90 s) never skips, preserving the plain-path parity contract."""
-    import pandas as pd
-
     from borges_ray.stages.fetch import RenderSession
 
     _pages, _seeds, _robots, pages_root, _ = web
-    sel = pd.DataFrame({"url": _pages["url"].to_pylist()[:40]})
+    sel = pa.table({"url": _pages["url"].to_pylist()[:40]})
 
-    wide = RenderSession(pages_root, 4)(sel)
+    wide = RenderSession(pages_root, 4)(sel).to_pandas()
     assert (wide["resources_skipped"] == 0).all()
 
-    tight = RenderSession(pages_root, 4, resource_timeout_ms=1_000)(sel)
+    tight = RenderSession(pages_root, 4, resource_timeout_ms=1_000)(sel).to_pandas()
     ok = tight[tight["status"] == 200]
     assert (ok["resources_skipped"] > 0).any()
     m = wide.merge(tight, on="url", suffixes=("_w", "_t"))

@@ -5,20 +5,26 @@ wraps it with ``request_middlewares`` / ``response_middlewares`` — the
 deployment seam for a real HTTP fetcher (reference:
 ``Borges/spiders/Elsevier/paper_xml.py:73-76``, ``AIP/aip_spider.py:16-64``)
 and the Scrapy-middleware surface (``Borges/settings.py:93-104``).  No
-network: the HTTP skeleton is exercised with an injected transport.
+outside network: the HTTP skeleton is exercised with injected transports
+and, for its default urllib transport, against a loopback ``http.server``.
 """
 
 from __future__ import annotations
 
-import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import quote, unquote
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
 from borges_ray.pipelines.crawl import EngineConfig, collect_crawled, run_crawl
-from borges_ray.stages.fetch import (HttpFetchSession, fetch_selected,
+from borges_ray.stages.fetch import (FetchSession, HttpFetchSession,
+                                     RenderSession, fetch_selected,
+                                     fetch_selected_http,
+                                     transient_fail_count,
                                      write_pages_bucketed)
 from borges_ray.synth import synth_pages, synth_robots, synth_seeds
 
@@ -80,13 +86,14 @@ def test_middlewares_hook_points(web, ray_session, tmp_path):
     # pick a host that was actually crawled to block via middleware
     blocked_host = base.loc[base["status"] == 200, "host"].iloc[0]
 
-    def drop_host(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["host"] != blocked_host]
+    def drop_host(t: pa.Table) -> pa.Table:
+        return t.filter(pc.not_equal(t["host"], blocked_host))
 
-    def tag_teapot(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out.loc[out["status"] == 404, "status"] = 418
-        return out
+    def tag_teapot(t: pa.Table) -> pa.Table:
+        teapot = pc.if_else(pc.equal(t["status"], 404),
+                            pa.scalar(418, pa.int64()), t["status"])
+        return t.set_column(t.schema.get_field_index("status"), "status",
+                            teapot)
 
     ck_b = str(tmp_path / "b")
     run_crawl(pages_root, seeds, robots.to_pandas(),
@@ -249,3 +256,148 @@ def test_http_fetch_session_real_clock_bucket(ray_session):
     for host in ("a.com", "b.com"):
         sc = sorted(out.loc[out["host"] == host, "sched_ms"])
         assert all(b - a >= 150 for a, b in zip(sc, sc[1:])), (host, sc)
+
+
+@pytest.fixture
+def loopback(web):
+    """A ``ThreadingHTTPServer`` on ``127.0.0.1:0`` answering
+    ``GET /<quoted url>`` with the seam web's corpus bytes (plus any
+    ``routes`` a test adds) and 404 for everything else.  Yields
+    ``(base_url, routes)``; the server is shut down at teardown."""
+    pages = web[0]
+    routes = {u: h for u, h in zip(pages["url"].to_pylist(),
+                                   pages["html"].to_pylist())
+              if h is not None}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = routes.get(unquote(self.path[1:]))
+            if body is None:
+                self.send_error(404)
+                return
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{srv.server_address[1]}/", routes
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_http_default_transport_over_loopback(loopback):
+    """The default urllib transport returns body bytes unchanged (a
+    latin-1 page is not re-encoded) and keeps a real 404 as a 404 — one
+    attempt, not a retried transport error."""
+    base, routes = loopback
+    routes["latin"] = b"caf\xe9"
+    out = HttpFetchSession(min_interval_ms=0)(pa.table({
+        "url": [base + "latin", base + "missing"],
+        "host": ["127.0.0.1", "127.0.0.1"],
+    })).to_pylist()
+    assert (out[0]["status"], out[0]["attempts"]) == (200, 1)
+    assert out[0]["html"] == b"caf\xe9"
+    assert (out[1]["status"], out[1]["attempts"]) == (404, 1)
+    assert out[1]["html"] is None
+
+
+def test_http_fetcher_loopback_crawl(web, loopback, ray_session, tmp_path):
+    """End-to-end over real sockets: a crawl whose fetcher is
+    ``fetch_selected_http`` with the default urllib transport, each
+    selected url sent to the loopback server, equals the probe crawl."""
+    _pages, seeds, robots, pages_root, _ = web
+    base, _routes = loopback
+
+    def to_loopback(t: pa.Table) -> pa.Table:
+        sent = pa.array([base + quote(u, safe="") for u in t["url"].to_pylist()],
+                        pa.string())
+        return (t.append_column("real_url", t["url"])
+                .set_column(t.schema.get_field_index("url"), "url", sent))
+
+    def restore_url(t: pa.Table) -> pa.Table:
+        return (t.set_column(t.schema.get_field_index("url"), "url",
+                             t["real_url"])
+                .drop_columns(["real_url"]))
+
+    def loopback_fetcher(sel: rd.Dataset, cfg: EngineConfig, rnd: int):
+        sent = sel.map_batches(to_loopback, batch_format="pyarrow")
+        return fetch_selected_http(
+            sent, transport=None, min_interval_ms=0, concurrency=(1, 2),
+        ).map_batches(restore_url, batch_format="pyarrow")
+
+    ck_a = str(tmp_path / "probe")
+    run_crawl(pages_root, seeds, robots.to_pandas(), _cfg(), ck_a,
+              resume=False)
+    ck_b = str(tmp_path / "loopback")
+    run_crawl(pages_root, seeds, robots.to_pandas(),
+              _cfg(fetcher=loopback_fetcher), ck_b, resume=False)
+    a = collect_crawled(ck_a).to_pandas().set_index("url").sort_index()
+    b = collect_crawled(ck_b).to_pandas().set_index("url").sort_index()
+    assert list(a.index) == list(b.index)
+    assert (a["status"] == 404).any()
+    for col in ("status", "attempts", "extracted_text", "fetch_round",
+                "host_seq"):
+        assert (a[col].to_numpy() == b[col].to_numpy()).all(), col
+
+
+def test_probe_kernel_parity_across_fetch_paths(ray_session, tmp_path):
+    """``fetch_selected``, ``FetchSession`` and ``RenderSession`` all run
+    the one probe kernel: a batch mixing hits, misses, flaky-failing urls
+    and a stored-NULL payload gets equal status/attempts/html per url on
+    every path (the NULL row is a 200 with null html), and a zero-row
+    batch keeps the contract and bookkeeping column types."""
+    cands = [f"http://h{i % 5}.test/p{i}" for i in range(600)]
+    by_fails = {k: [u for u in cands if transient_fail_count(u) == k]
+                for k in range(4)}
+    ok = by_fails[0]
+    corpus = ok[:12] + by_fails[1][:2] + by_fails[2][:2] + by_fails[3][:2]
+    null_url = ok[12]
+    misses = ok[13:16] + by_fails[3][2:3]
+    root = str(tmp_path / "pages")
+    write_pages_bucketed(pa.table({
+        "url": corpus + [null_url],
+        "html": pa.array([f"<p>{u}</p>".encode() for u in corpus] + [None],
+                         pa.binary()),
+    }), root, num_buckets=4)
+    urls = sorted(corpus + [null_url] + misses)
+    batch = pa.table({"url": urls, "host": [u.split("/")[2] for u in urls]})
+
+    paths = {
+        "stateless": fetch_selected(rd.from_arrow(batch), root, 4,
+                                    flaky=True).to_pandas(),
+        "session": FetchSession(root, 4, api_keys=("k0", "k1"),
+                                flaky=True)(batch).to_pandas(),
+        "render": RenderSession(root, 4, flaky=True)(batch).to_pandas(),
+    }
+    assert list(paths["session"]["url"]) == urls
+    assert list(paths["render"]["url"]) == urls
+    want = paths["stateless"].set_index("url").sort_index()
+    assert set(want["status"]) == {200, 404, 503}
+    assert (want["attempts"] > 1).any()
+    for name, got in paths.items():
+        got = got.set_index("url").sort_index()
+        for col in ("status", "attempts", "html"):
+            assert list(got[col]) == list(want[col]), (name, col)
+        assert got.loc[null_url, "status"] == 200, name
+        assert got.loc[null_url, "html"] is None, name
+
+    contract = {"url": pa.string(), "host": pa.string(),
+                "attempts": pa.int64(), "html": pa.binary(),
+                "status": pa.int64()}
+    empty = batch.slice(0, 0)
+    for out, extra in (
+            (FetchSession(root, 4, api_keys=("k0",))(empty),
+             {"key_idx": pa.int32()}),
+            (RenderSession(root, 4)(empty),
+             {"render_ms": pa.int64(), "handle_gen": pa.int32(),
+              "resources_skipped": pa.int32()})):
+        assert out.num_rows == 0
+        assert {f.name: f.type for f in out.schema} == {**contract, **extra}
