@@ -197,6 +197,8 @@ QUERY_SUBSET = [
     # shard-resumable ingest gate
     "image_features", "audio_features", "image_neardup",
     "video_frame_stats", "bulk_ingest_resumable",
+    # strongly connected components (fused forward-backward fixpoint)
+    "scc",
 ]
 
 

@@ -55,9 +55,6 @@ def _stable_u64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-_MD5_TOKEN_CACHE: dict[str, int] = {}
-
-
 def _md5_u64(s: str) -> int:
     """Lower 64 bits (little-endian bytes 8..16) of md5 — bit-identical to
     DuckDB's ``md5_number_lower``, so SQL oracles can recompute SimHash
@@ -65,50 +62,39 @@ def _md5_u64(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:16], "little")
 
 
-def _md5_token_hashes(toks: list[str]) -> np.ndarray:
-    """Memoized md5-u64 per token (same Zipf-cache rationale as
-    :func:`_token_hashes`; separate hash family so SimHash stays
-    SQL-checkable while MinHash keeps the cheaper blake2b)."""
-    cache = _MD5_TOKEN_CACHE
-    if len(cache) > _TOKEN_CACHE_MAX:
-        cache.clear()
-    out = np.empty(len(toks), dtype=np.uint64)
-    for i, t in enumerate(toks):
-        h = cache.get(t)
-        if h is None:
-            h = _md5_u64(t)
-            cache[t] = h
-        out[i] = h
-    return out
-
-
 _TOKEN_CACHE: dict[str, int] = {}
+_MD5_TOKEN_CACHE: dict[str, int] = {}
 _TOKEN_CACHE_MAX = 1_000_000
 _SHINGLE_MIX = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 constant
 
 
-def _token_hashes(toks: list[str]) -> np.ndarray:
-    """Stable u64 hash per token, memoized (natural text is Zipf — the
-    cache hit rate is high, cutting per-token blake2b cost)."""
-    cache = _TOKEN_CACHE
+def _memo_hashes(toks: list[str], cache: dict[str, int], fn) -> np.ndarray:
+    """u64 ``fn(token)`` per token through a memo (natural text is Zipf —
+    the hit rate is high): hash the batch's unseen tokens, then fill the
+    array from the memo in one ``np.fromiter``."""
     if len(cache) > _TOKEN_CACHE_MAX:
         cache.clear()
-    out = np.empty(len(toks), dtype=np.uint64)
-    for i, t in enumerate(toks):
-        h = cache.get(t)
-        if h is None:
-            h = _stable_u64(t)
-            cache[t] = h
-        out[i] = h
-    return out
+    for t in set(toks).difference(cache):
+        cache[t] = fn(t)
+    return np.fromiter(map(cache.__getitem__, toks), dtype=np.uint64, count=len(toks))
 
 
-def _shingle_hashes(text: str, k: int) -> np.ndarray:
-    """Stable u64 hashes of word k-shingles: per-token hashes (memoized
-    blake2b) combined positionally with a vectorized polynomial mix —
-    equivalent identity semantics to hashing the joined shingle string, at
-    a fraction of the cost."""
-    toks = text.split()
+def _md5_token_hashes(toks: list[str]) -> np.ndarray:
+    """Memoized md5-u64 per token (separate hash family so SimHash stays
+    SQL-checkable while MinHash keeps the cheaper blake2b)."""
+    return _memo_hashes(toks, _MD5_TOKEN_CACHE, _md5_u64)
+
+
+def _token_hashes(toks: list[str]) -> np.ndarray:
+    """Stable u64 (blake2b) hash per token, memoized."""
+    return _memo_hashes(toks, _TOKEN_CACHE, _stable_u64)
+
+
+def _shingle_hashes(toks: list[str], k: int) -> np.ndarray:
+    """Stable u64 hashes of the word k-shingles of a whitespace-split text:
+    per-token hashes (memoized blake2b) combined positionally with a
+    vectorized polynomial mix — equivalent identity semantics to hashing
+    the joined shingle string, at a fraction of the cost."""
     if not toks:
         return np.zeros(0, np.uint64)
     th = _token_hashes(toks)
@@ -222,52 +208,44 @@ class MinHasher:
         self.num_perm = num_perm
         self.k = shingle_k
 
-    def signature(self, text: str) -> np.ndarray:
-        sh = _shingle_hashes(text, self.k)
-        if len(sh) == 0:
-            return np.zeros(self.num_perm, dtype=np.uint64)
-        # (P, S) universal hashing in uint64 modular arithmetic (python ints
-        # for the mod-Mersenne part is avoided via float-free numpy trick:
-        # wraparound multiply is fine for minhash as long as it is stable)
-        prod = self.a[:, None] * sh[None, :] + self.b[:, None]  # wraps mod 2^64 — stable
-        return prod.min(axis=1)
+    def signatures(self, splits: list[list[str]]) -> np.ndarray:
+        """(n, P) signatures of whitespace-split texts (``t.split()`` each)."""
+        return self.minhash([_shingle_hashes(toks, self.k) for toks in splits])
 
-    def signatures(self, texts: list[str]) -> np.ndarray:
-        """Batched signatures, byte-identical to per-text :meth:`signature`,
-        but with ONE preallocated (P, max_shingles) work buffer reused
-        in-place across the batch: the per-doc working set stays cache-hot
-        and no temporaries are allocated per document (a wide batch-level
-        (P, total_shingles) product would spill L3 and run ~8× slower —
-        measured; memory locality beats call-count here)."""
-        n = len(texts)
-        out = np.zeros((n, self.num_perm), dtype=np.uint64)
-        if n == 0:
-            return out
-        shs = [_shingle_hashes(t, self.k) for t in texts]
+    def minhash(self, shs: list[np.ndarray]) -> np.ndarray:
+        """(n, P) signatures of per-text shingle-hash arrays (all zeros for
+        an empty one): ``min(a·sh + b)`` per permutation in wrap-around
+        uint64 (stable), with ONE preallocated (max_shingles, P) work
+        buffer reused in-place across the batch: the per-doc working set
+        stays cache-hot and no temporaries are allocated per document (a
+        wide batch-level (total_shingles, P) product would spill L3 and
+        run ~8× slower — measured; memory locality beats call-count
+        here).  Rows are shingles so every op runs along a contiguous
+        permutation row (about 20% faster than the (P, S) layout)."""
+        out = np.zeros((len(shs), self.num_perm), dtype=np.uint64)
         max_len = max((len(s) for s in shs), default=0)
         if max_len == 0:
             return out
-        a_col, b_col = self.a[:, None], self.b[:, None]
-        buf = np.empty((self.num_perm, max_len), dtype=np.uint64)
+        buf = np.empty((max_len, self.num_perm), dtype=np.uint64)
         for i, sh in enumerate(shs):
             if len(sh) == 0:
                 continue
-            v = buf[:, : len(sh)]
-            np.multiply(a_col, sh[None, :], out=v)  # wraps mod 2^64 — stable
-            np.add(v, b_col, out=v)
-            v.min(axis=1, out=out[i])
+            v = buf[: len(sh)]
+            np.multiply(sh[:, None], self.a, out=v)  # wraps mod 2^64 — stable
+            np.add(v, self.b, out=v)
+            v.min(axis=0, out=out[i])
         return out
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        sigs = self.signatures(list(df["text"].fillna("")))
+        sigs = self.signatures([t.split() for t in df["text"].fillna("")])
         out = df.copy()
         out["__sig"] = [s.tobytes() for s in sigs]
         return out
 
 
 def jaccard(a: str, b: str, k: int = 3) -> float:
-    sa = set(_shingle_hashes(a, k).tolist())
-    sb = set(_shingle_hashes(b, k).tolist())
+    sa = set(_shingle_hashes(a.split(), k).tolist())
+    sb = set(_shingle_hashes(b.split(), k).tolist())
     if not sa and not sb:
         return 1.0
     return len(sa & sb) / max(1, len(sa | sb))
@@ -275,22 +253,13 @@ def jaccard(a: str, b: str, k: int = 3) -> float:
 
 def _make_featurize(id_col: str, num_perm: int, shingle_k: int):
     def featurize(df: pd.DataFrame) -> pd.DataFrame:
-        hasher = _hasher_cache_get(num_perm, shingle_k) if num_perm else None
-        sigs, blobs, nsh = [], [], []
-        for t in df["text"].fillna(""):
-            sh = np.unique(_shingle_hashes(t, shingle_k))
-            if hasher is None:
-                sigs.append(b"")
-            elif len(sh) == 0:
-                sigs.append(np.zeros(num_perm, dtype=np.uint64).tobytes())
-            else:
-                prod = hasher.a[:, None] * sh[None, :] + hasher.b[:, None]
-                sigs.append(prod.min(axis=1).tobytes())
-            blobs.append(sh.tobytes())
-            nsh.append(len(sh))
+        shs = [np.unique(_shingle_hashes(t.split(), shingle_k))
+               for t in df["text"].fillna("")]
+        sigs = ([s.tobytes() for s in _hasher_cache_get(num_perm, shingle_k).minhash(shs)]
+                if num_perm else [b""] * len(shs))
         return pd.DataFrame({id_col: df[id_col].to_numpy(),
-                             "__sig": sigs, "__blob": blobs,
-                             "__nsh": np.asarray(nsh, dtype=np.int64)})
+                             "__sig": sigs, "__blob": [s.tobytes() for s in shs],
+                             "__nsh": np.fromiter(map(len, shs), np.int64, len(shs))})
 
     return featurize
 
@@ -1330,11 +1299,11 @@ def containment_pairs(
     from .relational import grouped_agg, groupby_buckets, schema_anchor
 
     # Two exchanges TOTAL.  featurize already dedups shingles PER DOC (the
-    # per-doc ``seen`` set) and each doc row exists once, so (id, fp) is
-    # globally distinct with no distinct exchange; the per-doc set size is
-    # known at featurize time and RIDES ALONG with every fp row, so the
-    # pair-count reduce carries (n_a, n_b) in its key and the two
-    # size-attach hash joins disappear.
+    # per-doc ``seen`` set) and spawn drops the (id, fp) repeats of a
+    # duplicated doc row, so no distinct exchange is needed; the per-doc
+    # set size is known at featurize time and RIDES ALONG with every fp
+    # row, so the pair-count reduce carries (n_a, n_b) in its key and the
+    # two size-attach hash joins disappear.
     def featurize(df: pd.DataFrame) -> pd.DataFrame:
         ids, fps, szs = [], [], []
         for did, text in zip(df[id_col].to_numpy("int64"),
@@ -1367,6 +1336,11 @@ def containment_pairs(
         fps = df["fp"].to_numpy()[order]
         ids = df[id_col].to_numpy()[order]
         ns = df["n"].to_numpy("int64")[order]
+        # a doc row duplicated in the input repeats its (id, fp) rows: keep
+        # one, so it neither pairs with itself nor double-counts shared
+        keep = np.ones(len(fps), dtype=bool)
+        keep[1:] = (fps[1:] != fps[:-1]) | (ids[1:] != ids[:-1])
+        fps, ids, ns = fps[keep], ids[keep], ns[keep]
         cut = np.flatnonzero(fps[1:] != fps[:-1]) + 1
         starts = np.concatenate(([0], cut))
         ends = np.concatenate((cut, [len(fps)]))
@@ -1375,7 +1349,7 @@ def containment_pairs(
             m = e - s
             if m < 2 or m > max_fp_docs:
                 continue  # singleton or stop-shingle
-            grp = ids[s:e]  # sorted, distinct by construction
+            grp = ids[s:e]  # sorted, distinct
             gn = ns[s:e]
             ia, ib = np.triu_indices(m, k=1)
             out_a.append(grp[ia])

@@ -64,6 +64,23 @@ def _doc_bigram_partial(id_col: str, text_col: str):
     return fn
 
 
+def _auto_buckets(ds: rd.Dataset) -> int:
+    """Bucket count for :func:`lm_perplexity`, scaled to the input size:
+    each bucket task's memory is O(distinct bigrams in bucket), so buckets
+    grow with the corpus (one per 64 MB, 8..4096) — but a small corpus
+    must not shatter into hundreds of tiny hive files whose open/footer
+    overhead dominates both passes (32 fixed buckets cost 2.3x at sf0.1).
+    An unknown size (``size_bytes()`` is None or raises, common for lazy
+    transformed datasets) keeps 32, not the minimum: it may be large."""
+    try:
+        sz = ds.size_bytes()
+    except Exception:
+        sz = None
+    if sz is None:
+        return 32
+    return int(min(4096, max(8, sz // (64 << 20))))
+
+
 def lm_perplexity(
     ds: rd.Dataset,
     *,
@@ -97,16 +114,7 @@ def lm_perplexity(
     from .relational import grouped_agg
 
     if n_buckets is None:
-        # size-scaled: each bucket task's memory is O(distinct bigrams in
-        # bucket), so buckets grow with the corpus — but a small corpus
-        # must not shatter into hundreds of tiny hive files whose
-        # open/footer overhead dominates both passes (32 fixed buckets
-        # cost 2.3x at sf0.1)
-        try:
-            sz = ds.size_bytes() or 0
-        except Exception:
-            sz = 0
-        n_buckets = int(min(4096, max(8, sz // (64 << 20))))
+        n_buckets = _auto_buckets(ds)
 
     def add_bkt(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from ..extract import CJK_RANGES
+from ..extract import CJK_RANGES, _codepoints
 
 STOPWORDS = frozenset(
     "the a an and or of to in on for with at by from as is are was were be been it this that".split()
@@ -29,39 +29,116 @@ STOPWORDS = frozenset(
 #: (a public GPT-2-style pre-tokenizer shape, re-implemented with stdlib re).
 TOKEN_RE = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]")
 
-_WS_RE = re.compile(r"\s+")
+# codepoint class bits: the exact predicates of the count regexes
+_SPACE, _ALPHA, _DIGIT, _WORD = 1, 2, 4, 8
+_CLASS_RES = ((_SPACE, re.compile(r"\s")), (_DIGIT, re.compile(r"\d")),
+              (_WORD, re.compile(r"\w")))
+
+
+def _char_class(c: str) -> int:
+    bits = sum(bit for bit, rx in _CLASS_RES if rx.match(c))
+    return bits | (_ALPHA if "A" <= c <= "Z" or "a" <= c <= "z" else 0)
+
+
+_ASCII_CLASS = np.array([_char_class(chr(i)) for i in range(128)], dtype=np.uint8)
+# stopwords as little-endian packed ASCII bytes
+_STOP_MAXLEN = max(map(len, STOPWORDS))
+_STOP_KEYS = np.array([int.from_bytes(w.encode(), "little") for w in STOPWORDS], np.int64)
+
+
+def text_counts(texts: list[str]) -> dict[str, np.ndarray]:
+    r"""Every token/quality count per text from ONE codepoint-class pass
+    (ASCII table + the batch's distinct non-ASCII codepoints through the
+    ``re`` predicates; run starts and class totals summed per text):
+    ``n_chars``, ``n_ws_tokens`` (``len(t.split())``), ``n_bpe_tokens``
+    (``TOKEN_RE`` matches), ``n_words``/``word_chars``/``n_stop`` (the
+    ``[A-Za-z]+`` words, their letters, stopword hits), ``n_punct``
+    (``[^\w\s]`` chars)."""
+    cp, offsets = _codepoints(texts)
+    n_chars = np.diff(offsets)
+    filled = n_chars > 0
+    first, last = offsets[:-1][filled], offsets[1:][filled] - 1
+
+    cls = _ASCII_CLASS.take(cp, mode="clip")  # non-ASCII rows are set below
+    hi = np.flatnonzero(cp > 127)
+    if len(hi):
+        uniq, inv = np.unique(cp[hi], return_inverse=True)
+        cls[hi] = np.array([_char_class(chr(c)) for c in uniq.tolist()],
+                           dtype=np.uint8)[inv]
+    space, alpha, digit, word = ((cls & bit) != 0 for bit in (_SPACE, _ALPHA, _DIGIT, _WORD))
+
+    # int32 sums are exact while the batch holds < 2^31 codepoints
+    acc = np.int32 if len(cp) < 1 << 31 else np.int64
+
+    def per_text(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(texts), dtype=np.int64)
+        if len(first):
+            out[filled] = np.add.reduceat(x.view(np.uint8), first, dtype=acc)
+        return out
+
+    def run_starts(x: np.ndarray) -> np.ndarray:
+        s = x.copy()
+        s[1:] &= ~x[:-1]
+        s[first] = x[first]
+        return s
+
+    alpha_starts = run_starts(alpha)
+    n_words = per_text(alpha_starts)
+    # stopword hits: letter runs no longer than the longest stopword,
+    # lower-cased and packed to integer keys
+    alpha_ends = alpha.copy()
+    alpha_ends[:-1] &= ~alpha[1:]
+    alpha_ends[last] = alpha[last]
+    ps, pe = np.flatnonzero(alpha_starts), np.flatnonzero(alpha_ends)
+    short = pe - ps < _STOP_MAXLEN
+    ps, length = ps[short], pe[short] - ps[short] + 1
+    key = np.zeros(len(ps), dtype=np.int64)
+    for j in range(_STOP_MAXLEN):
+        m = length > j
+        key[m] |= (cp[ps[m] + j] | 32).astype(np.int64) << (8 * j)
+    hits = ps[np.isin(key, _STOP_KEYS)]
+
+    not_space = ~space
+    return {
+        "n_chars": n_chars,
+        "n_ws_tokens": per_text(run_starts(not_space)),
+        "n_bpe_tokens": n_words + per_text(run_starts(digit))
+        + per_text(not_space & ~alpha & ~digit),
+        "n_words": n_words,
+        "word_chars": per_text(alpha),
+        "n_stop": np.diff(np.searchsorted(hits, offsets)),
+        "n_punct": per_text(not_space & ~word),
+    }
+
+
+def quality_ratios(c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """punct / stopword / mean-word-length ratios from :func:`text_counts`,
+    rounded to 6 dp (zero denominators count as 1)."""
+    return {col: np.round(c[num] / np.maximum(c[den], 1), 6) for col, num, den in (
+        ("punct_ratio", "n_punct", "n_chars"), ("stopword_ratio", "n_stop", "n_words"),
+        ("mean_word_len", "word_chars", "n_words"))}
 
 
 def token_count_batch(texts: pd.Series) -> tuple[pd.Series, pd.Series]:
-    """(whitespace_tokens, bpe_ish_tokens) per text — both vectorized."""
-    ws = texts.str.split().str.len().fillna(0).astype("int64")
-    bpe = texts.str.count(TOKEN_RE.pattern).astype("int64")
-    return ws, bpe
+    """(whitespace_tokens, bpe_ish_tokens) per text (a view on
+    :func:`text_counts`)."""
+    c = text_counts(texts.fillna("").tolist())
+    return (pd.Series(c["n_ws_tokens"], index=texts.index, name=texts.name),
+            pd.Series(c["n_bpe_tokens"], index=texts.index, name=texts.name))
 
 
 class QualityScorer:
     """Per-document quality signals: length, punctuation ratio, stopword
-    ratio, mean word length — the standard cheap pre-training filters.
-    Compile-once state (actor-pool friendly)."""
-
-    def __init__(self):
-        self.punct_re = re.compile(r"[^\w\s]")
-        self.word_re = re.compile(r"[A-Za-z]+")
+    ratio, mean word length — the standard cheap pre-training filters
+    (a view on :func:`text_counts`)."""
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        texts = df["text"].fillna("")
-        n_chars = texts.str.len().astype("int64")
-        n_punct = texts.str.count(self.punct_re.pattern).astype("int64")
-        words = texts.str.findall(self.word_re.pattern)
-        n_words = words.str.len().astype("int64")
-        n_stop = words.map(lambda ws: sum(1 for w in ws if w.lower() in STOPWORDS)).astype("int64")
-        word_chars = words.map(lambda ws: sum(len(w) for w in ws)).astype("int64")
+        c = text_counts(df["text"].fillna("").tolist())
         out = df.copy()
-        out["n_chars"] = n_chars
-        out["n_words"] = n_words
-        out["punct_ratio"] = (n_punct / n_chars.clip(lower=1)).round(6)
-        out["stopword_ratio"] = (n_stop / n_words.clip(lower=1)).round(6)
-        out["mean_word_len"] = (word_chars / n_words.clip(lower=1)).round(6)
+        out["n_chars"] = c["n_chars"]
+        out["n_words"] = c["n_words"]
+        for col, v in quality_ratios(c).items():
+            out[col] = v
         return out
 
 
@@ -83,18 +160,14 @@ class LangId:
         self.word_re = re.compile(r"[^\W\d_]+", re.UNICODE)
 
     def _cjk_share(self, texts: pd.Series) -> np.ndarray:
-        joined = "".join(texts.tolist())
-        cp = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
+        cp, offsets = _codepoints(texts.tolist())
         is_cjk = np.zeros(len(cp), dtype=bool)
         for lo, hi in CJK_RANGES:
             is_cjk |= (cp >= lo) & (cp <= hi)
-        lengths = texts.str.len().fillna(0).astype("int64").to_numpy()
-        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        n = np.diff(offsets)
         out = np.zeros(len(texts))
-        for i in range(len(texts)):
-            seg = is_cjk[offsets[i] : offsets[i + 1]]
-            out[i] = seg.mean() if len(seg) else 0.0
+        if n.any():
+            out[n > 0] = np.add.reduceat(is_cjk, offsets[:-1][n > 0], dtype=np.int64) / n[n > 0]
         return out
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
@@ -152,62 +225,65 @@ class PiiRedactor:
 
 FP_BASE = np.uint64(1_000_003)
 
-_POW_CACHE = np.array([1], dtype=np.uint64)
+_POW_CACHE: dict[int, np.ndarray] = {}
+
+
+def _powers(base: int, n: int) -> np.ndarray:
+    """base^k mod 2^64 for k in [0, n) (module-cached per base, extended
+    by whole blocks: ``t[m:m+j] = t[:j] · base^m``, wrapping — stable)."""
+    t = _POW_CACHE.get(base, np.ones(1, dtype=np.uint64))
+    while len(t) < n:
+        step = np.uint64(int(t[-1]) * base % (1 << 64))
+        t = np.concatenate([t, t[: n - len(t)] * step])
+    _POW_CACHE[base] = t
+    return t
 
 
 def _pow_table(n: int) -> np.ndarray:
-    """FP_BASE^k mod 2^64 for k in [0, n) (module-cached, grown on demand)."""
-    global _POW_CACHE
-    if len(_POW_CACHE) < n:
-        m = len(_POW_CACHE)
-        ext = np.empty(n, dtype=np.uint64)
-        ext[:m] = _POW_CACHE
-        for k in range(m, n):
-            # wraps mod 2^64 — stable; np.multiply avoids the scalar-overflow warning
-            ext[k] = np.multiply(ext[k - 1], FP_BASE, dtype=np.uint64)
-        _POW_CACHE = ext
-    return _POW_CACHE
-
-
-_INV_POW_CACHE = np.ones(1, dtype=np.uint64)
-_FP_BASE_INV = pow(int(FP_BASE), -1, 1 << 64)
+    """FP_BASE^k mod 2^64 for k in [0, n)."""
+    return _powers(int(FP_BASE), n)
 
 
 def _inv_pow_table(n: int) -> np.ndarray:
-    """FP_BASE^-k mod 2^64 for k in [0, n) (module-cached, grown on
-    demand; the base is odd, hence invertible mod 2^64)."""
-    global _INV_POW_CACHE
-    if len(_INV_POW_CACHE) < n:
-        m = len(_INV_POW_CACHE)
-        ext = np.empty(n, dtype=np.uint64)
-        ext[:m] = _INV_POW_CACHE
-        inv = np.uint64(_FP_BASE_INV)
-        for j in range(m, n):
-            ext[j] = np.multiply(ext[j - 1], inv, dtype=np.uint64)
-        _INV_POW_CACHE = ext
-    return _INV_POW_CACHE
+    """FP_BASE^-k mod 2^64 for k in [0, n) (the base is odd, hence
+    invertible mod 2^64)."""
+    return _powers(pow(int(FP_BASE), -1, 1 << 64), n)
+
+
+_FP_CHUNK_BYTES = 1 << 16
+
+
+def fingerprint_splits(splits: list[list[str]]) -> np.ndarray:
+    """:func:`fingerprint_batch` of whitespace-split texts (normalized text
+    ``" ".join(tokens)``), vectorized over the batch's bytes in chunks of
+    about ``_FP_CHUNK_BYTES``: byte ``i`` of a chunk ending at ``c`` weighs
+    ``FP_BASE^(c-1-i)``; each text's sum is then unshifted by
+    ``FP_BASE^-(c-e)`` for its end ``e``."""
+    norm = [" ".join(toks).encode("utf-8") for toks in splits]
+    lens = np.fromiter(map(len, norm), dtype=np.int64, count=len(norm))
+    out = np.zeros(len(norm), dtype=np.uint64)
+    nz = np.flatnonzero(lens)
+    data = np.frombuffer(b"".join(norm), dtype=np.uint8)
+    ends, lens = np.cumsum(lens)[nz], lens[nz]
+    starts = ends - lens
+    lo = 0
+    while lo < len(nz):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _FP_CHUNK_BYTES, "right")))
+        s0, s1 = starts[lo], ends[hi - 1]
+        terms = np.multiply(data[s0:s1], _pow_table(s1 - s0)[s1 - s0 - 1::-1],
+                            dtype=np.uint64)  # wraps mod 2^64 — stable
+        out[nz[lo:hi]] = (np.add.reduceat(terms, starts[lo:hi] - s0)
+                          * _inv_pow_table(s1 - s0)[s1 - ends[lo:hi]])
+        lo = hi
+    return out
 
 
 def fingerprint_batch(texts: pd.Series) -> pd.Series:
     """Deterministic polynomial rolling-hash fingerprint (mod 2^64) of the
-    whitespace-normalized text (document identity for exact/near dedup
-    ledgers).  Vectorized: one uint64 dot product per document against a
-    cached power table — stable across processes and platforms (numpy
-    integer wraparound is well-defined)."""
-    out = np.empty(len(texts), dtype=np.uint64)
-    norm = [_WS_RE.sub(" ", (t or "").strip()).encode("utf-8")
-            for t in texts.fillna("")]
-    max_len = max((len(b) for b in norm), default=1)
-    pows = _pow_table(max_len + 1)
-    for i, b in enumerate(norm):
-        if not b:
-            out[i] = 0
-            continue
-        arr = np.frombuffer(b, dtype=np.uint8).astype(np.uint64)
-        # h = sum(b_i * BASE^(n-1-i)) mod 2^64
-        out[i] = np.multiply(arr, pows[len(arr) - 1 :: -1][: len(arr)],
-                             dtype=np.uint64).sum(dtype=np.uint64)
-    return pd.Series(out, index=texts.index, dtype="uint64")
+    whitespace-normalized UTF-8 text (document identity for exact/near
+    dedup ledgers) — stable across processes and platforms."""
+    fp = fingerprint_splits([t.split() for t in texts.fillna("")])
+    return pd.Series(fp, index=texts.index, dtype="uint64")
 
 
 def tfidf_top_terms(ds: rd.Dataset, *, group_col: str = "lang",
@@ -888,7 +964,7 @@ def winnow_fingerprints(ds: rd.Dataset, *, id_col: str = "doc_id",
         texts = df[text_col].fillna("").astype(str)
         ids = df[id_col].to_numpy()
         for i, t in enumerate(texts):
-            b = _WS_RE.sub(" ", t.strip()).encode("utf-8")
+            b = " ".join(t.split()).encode("utf-8")
             n = len(b)
             ng = n - k + 1
             if ng < w:

@@ -21,16 +21,24 @@ Stage shapes:
 
 from __future__ import annotations
 
+import functools
+import os
+import shutil
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray.data as rd
 
 
 class PageFeaturizer:
     """Extract + featurize one batch of raw pages.  Per-actor state: the
-    MinHash permutation bank and compiled regexes (built once).
+    MinHash permutation bank (built once).  Each text is tokenized once:
+    one codepoint-class pass gives every count, one ``str.split`` feeds
+    both the fingerprint and the MinHash shingles.
 
     ``max_payload_bytes`` (None = no cap) applies the reference's
     DocumentTooLarge triage (``Borges/spiders/Elsevier/paper_xml.py:109-120``)
@@ -42,17 +50,14 @@ class PageFeaturizer:
     def __init__(self, num_perm: int = 128, shingle_k: int = 3,
                  max_payload_bytes: int | None = None):
         from ..ops.dedup import MinHasher
-        from ..ops.textops import QualityScorer
 
         self.minhash = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
-        self.quality = QualityScorer()
         self.max_payload_bytes = max_payload_bytes
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from ..extract import extract_text, tag_lang_batch
-        from ..ops.textops import fingerprint_batch, token_count_batch
+        from ..ops.textops import fingerprint_splits, quality_ratios, text_counts
 
-        urls = t["url"].to_pylist()
         htmls = t["html"].to_pylist()
         # size in BYTES regardless of column type (a string html column
         # measured by len() would under-count multi-byte pages and let an
@@ -63,27 +68,25 @@ class PageFeaturizer:
         cap = self.max_payload_bytes
         over = [cap is not None and s > cap for s in sizes]
         texts = ["" if o else extract_text(h) for o, h in zip(over, htmls)]
-        errors = ["payload_too_large" if o else None for o in over]
-        langs = tag_lang_batch(texts)
-        s = pd.Series(texts)
-        ws, bpe = token_count_batch(s)
-        fp = fingerprint_batch(s)
-        q = self.quality(pd.DataFrame({"text": s}))
-        sigs = [s.tobytes() for s in self.minhash.signatures(texts)]
+        c = text_counts(texts)
+        q = quality_ratios(c)
+        splits = [x.split() for x in texts]
+        sigs = self.minhash.signatures(splits)
         return pa.table(
             {
-                "url": pa.array(urls, pa.string()),
+                "url": t["url"].cast(pa.string()),
                 "extracted_text": pa.array(texts, pa.string()),
-                "lang": pa.array(langs, pa.string()),
-                "n_ws_tokens": pa.array(ws.to_numpy(), pa.int64()),
-                "n_bpe_tokens": pa.array(bpe.to_numpy(), pa.int64()),
-                "fingerprint": pa.array(fp.to_numpy(), pa.uint64()),
-                "punct_ratio": pa.array(q["punct_ratio"].to_numpy(), pa.float64()),
-                "stopword_ratio": pa.array(q["stopword_ratio"].to_numpy(), pa.float64()),
-                "mean_word_len": pa.array(q["mean_word_len"].to_numpy(), pa.float64()),
-                "minhash_sig": pa.array(sigs, pa.binary()),
+                "lang": pa.array(tag_lang_batch(texts), pa.string()),
+                "n_ws_tokens": pa.array(c["n_ws_tokens"], pa.int64()),
+                "n_bpe_tokens": pa.array(c["n_bpe_tokens"], pa.int64()),
+                "fingerprint": pa.array(fingerprint_splits(splits), pa.uint64()),
+                "punct_ratio": pa.array(q["punct_ratio"], pa.float64()),
+                "stopword_ratio": pa.array(q["stopword_ratio"], pa.float64()),
+                "mean_word_len": pa.array(q["mean_word_len"], pa.float64()),
+                "minhash_sig": pa.array([s.tobytes() for s in sigs], pa.binary()),
                 "n_html_bytes": pa.array(sizes, pa.int64()),
-                "error": pa.array(errors, pa.string()),
+                "error": pa.array(["payload_too_large" if o else None for o in over],
+                                  pa.string()),
             }
         )
 
@@ -96,8 +99,8 @@ def _featurize_batch(t: pa.Table, max_payload_bytes: int | None = None) -> pa.Ta
 
     NOT an actor pool on purpose: a fixed actor pool with ``num_cpus=1``
     reserves CPUs and starves the upstream read on small clusters (observed:
-    8 actors on 8 CPUs → idle deadlock).  The featurizer state (permutation
-    bank, compiled regexes) is microseconds to build, so a module-global
+    8 actors on 8 CPUs → idle deadlock).  The featurizer state (the
+    permutation bank) is microseconds to build, so a module-global
     cache inside each reused worker process gives the same amortization with
     fully elastic task scheduling.  Reserve real actor pools for expensive
     state (models, sessions) and size them below the node's CPU count.
@@ -107,6 +110,46 @@ def _featurize_batch(t: pa.Table, max_payload_bytes: int | None = None) -> pa.Ta
         pf = _WORKER_PF[max_payload_bytes] = PageFeaturizer(
             max_payload_bytes=max_payload_bytes)
     return pf(t)
+
+
+def _parquet_files(*dirs: str) -> list[str]:
+    return sorted(os.path.join(dp, f) for d in dirs for dp, _dn, fs in os.walk(d)
+                  for f in fs if f.endswith(".parquet"))
+
+
+def _dedup_survivors(feat_files: list[str], out_dir: str) -> int:
+    """Exact dedup as a KEYS-ONLY shuffle: re-read just (url, fingerprint)
+    of the non-error rows (a coalesced read), keep the smallest url per
+    fingerprint, write the survivors manifest to ``out_dir/survivors`` and
+    return its row count.  The payload never moves through the shuffle;
+    consumers semi-join features against the manifest.  Shards sealed
+    before the ``error`` column existed have no error rows to drop."""
+    from ..ops.relational import _auto_num_blocks
+
+    has_error = "error" in pq.ParquetFile(feat_files[0]).schema_arrow.names
+    keys = rd.read_parquet(
+        feat_files, columns=["url", "fingerprint"] + (["error"] if has_error else []),
+        override_num_blocks=_auto_num_blocks(feat_files))
+
+    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        out = df.loc[df["error"].isna()] if has_error else df
+        out = out[["url", "fingerprint"]].copy()
+        out["__fb"] = (out["fingerprint"] % np.uint64(64)).astype("int64")
+        return out
+
+    def winner(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values("url", kind="mergesort")
+        return df.drop_duplicates(subset="fingerprint", keep="first")[["url"]]
+
+    survivors = (
+        keys.map_batches(add_bucket, batch_format="pandas")
+        .groupby("__fb", num_partitions=32)
+        .map_groups(winner, batch_format="pandas")
+    )
+    surv_dir = os.path.join(out_dir, "survivors")
+    shutil.rmtree(surv_dir, ignore_errors=True)
+    survivors.write_parquet(surv_dir)
+    return pads.dataset(surv_dir, format="parquet").count_rows()
 
 
 def bulk_ingest(
@@ -129,9 +172,6 @@ def bulk_ingest(
     written to ``out_dir/missed`` and excluded from the dedup keys, never
     entering the text pipeline.
     """
-    import functools
-    import os
-
     # Parallelism note: Ray coalesces small Parquet files into ~128 MB
     # blocks, and a fused read→map task processes ONE block — on a modest
     # corpus that collapses the featurize stage to a handful of tasks.
@@ -147,8 +187,6 @@ def bulk_ingest(
     )
     feat_dir = os.path.join(out_dir, "features")
     feats.write_parquet(feat_dir)
-
-    import pyarrow.dataset as pads
 
     n_feat = pads.dataset(feat_dir, format="parquet").count_rows()
     n_missed = 0
@@ -170,44 +208,8 @@ def bulk_ingest(
         n_feat -= n_missed
     if not dedup:
         return {"rows_out": n_feat, "rows_missed": n_missed}
-
-    # Exact dedup as a KEYS-ONLY shuffle: re-read just (url, fingerprint) —
-    # 16 bytes/row off the column-pruned Parquet — winner per fingerprint
-    # bucket, survivors manifest written next to the features.  The payload
-    # (text, signatures) never moves through the shuffle; consumers
-    # semi-join features against the manifest per partition.  Coalesce the
-    # read (the features dir has one file per featurize block — without the
-    # block heuristic this keys pass inherits 128 micro-blocks).
-    from ..ops.relational import _auto_num_blocks
-
-    feat_files = sorted(
-        os.path.join(dp, f) for dp, _dn, fs in os.walk(feat_dir)
-        for f in fs if f.endswith(".parquet"))
-    keys = rd.read_parquet(feat_files, columns=["url", "fingerprint", "error"],
-                           override_num_blocks=_auto_num_blocks(feat_files))
-    keys = keys.map_batches(
-        lambda df: df.loc[df["error"].isna(), ["url", "fingerprint"]],
-        batch_format="pandas")
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["__fb"] = (df["fingerprint"] % np.uint64(64)).astype("int64")
-        return out
-
-    def winner(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("url", kind="mergesort")
-        return df.drop_duplicates(subset="fingerprint", keep="first")[["url"]]
-
-    survivors = (
-        keys.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__fb", num_partitions=32)
-        .map_groups(winner, batch_format="pandas")
-    )
-    surv_dir = os.path.join(out_dir, "survivors")
-    survivors.write_parquet(surv_dir)
-    n_out = pads.dataset(surv_dir, format="parquet").count_rows()
-    return {"rows_out": n_out, "rows_featurized": n_feat,
-            "rows_missed": n_missed}
+    return {"rows_out": _dedup_survivors(_parquet_files(feat_dir), out_dir),
+            "rows_featurized": n_feat, "rows_missed": n_missed}
 
 
 def bulk_ingest_resumable(
@@ -232,16 +234,7 @@ def bulk_ingest_resumable(
     at the design point shards are many-GB file groups, so per-shard job
     overhead amortizes.  The dedup pass runs after all shards are sealed
     (keys-only; reads the union of shard dirs)."""
-    import os
-    import shutil
-
-    if os.path.isdir(pages_path):
-        files = sorted(
-            os.path.join(dp, f)
-            for dp, _dn, fs in os.walk(pages_path)
-            for f in fs if f.endswith(".parquet"))
-    else:
-        files = [pages_path]
+    files = _parquet_files(pages_path) if os.path.isdir(pages_path) else [pages_path]
     num_shards = max(1, min(num_shards, len(files)))
     feat_dir = os.path.join(out_dir, "features")
     os.makedirs(feat_dir, exist_ok=True)
@@ -258,8 +251,6 @@ def bulk_ingest_resumable(
         shard_files = files[k::num_shards]
         ds = rd.read_parquet(shard_files, columns=["url", "html"],
                              override_num_blocks=n_blocks)
-        import functools
-
         ds.map_batches(
             functools.partial(_featurize_batch,
                               max_payload_bytes=max_payload_bytes),
@@ -268,55 +259,12 @@ def bulk_ingest_resumable(
         with open(marker, "w") as fp:
             fp.write("ok")
 
-    import pyarrow.dataset as pads
-
     shard_dirs = [os.path.join(feat_dir, f"shard={k}") for k in range(num_shards)]
     n_feat = sum(pads.dataset(d, format="parquet").count_rows() for d in shard_dirs)
     if not dedup:
         return {"rows_out": n_feat, "shards_skipped": skipped}
-
-    shard_files = sorted(
-        os.path.join(dp, f)
-        for d in shard_dirs
-        for dp, _dn, fs in os.walk(d)
-        for f in fs if f.endswith(".parquet"))
-    from ..ops.relational import _auto_num_blocks
-
-    # backward-compat: shards sealed by a pre-error-column build lack the
-    # column — a resume must not crash at the keys read on their account
-    import pyarrow.parquet as _pq
-
-    has_error_col = "error" in _pq.ParquetFile(shard_files[0]).schema_arrow.names
-    key_cols = ["url", "fingerprint"] + (["error"] if has_error_col else [])
-    keys = rd.read_parquet(shard_files, columns=key_cols,
-                           override_num_blocks=_auto_num_blocks(shard_files))
-    if has_error_col:
-        keys = keys.map_batches(
-            lambda df: df.loc[df["error"].isna(), ["url", "fingerprint"]],
-            batch_format="pandas")
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["__fb"] = (df["fingerprint"] % np.uint64(64)).astype("int64")
-        return out
-
-    def winner(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("url", kind="mergesort")
-        return df.drop_duplicates(subset="fingerprint", keep="first")[["url"]]
-
-    survivors = (
-        keys.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__fb", num_partitions=32)
-        .map_groups(winner, batch_format="pandas")
-    )
-    surv_dir = os.path.join(out_dir, "survivors")
-    import shutil as _sh
-
-    _sh.rmtree(surv_dir, ignore_errors=True)
-    survivors.write_parquet(surv_dir)
-    n_out = pads.dataset(surv_dir, format="parquet").count_rows()
-    return {"rows_out": n_out, "rows_featurized": n_feat,
-            "shards_skipped": skipped}
+    return {"rows_out": _dedup_survivors(_parquet_files(*shard_dirs), out_dir),
+            "rows_featurized": n_feat, "shards_skipped": skipped}
 
 
 def _main() -> None:
@@ -325,7 +273,6 @@ def _main() -> None:
     ingest pipeline (on a synthesized page corpus unless ``--pages`` points
     at an existing (url, html) Parquet layout) and prints the row counts."""
     import argparse
-    import os
     import tempfile
     import time
 

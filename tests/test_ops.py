@@ -194,6 +194,159 @@ def test_quality_scorer():
     assert out["stopword_ratio"].iloc[0] == 0.5
 
 
+# -- featurize exactness: every batch kernel against per-text scalar
+# references written from the original formulas (str.split, the TOKEN_RE /
+# punctuation / [A-Za-z]+ regexes, the \s-collapse + polynomial hash and
+# blake2b-token shingles), on every code point and on an edge batch.
+
+_EDGE_TEXTS = [
+    "", "   \t\n ", "\x0b\x1c\u3000", "x", "12",
+    "The Kelvin \u212a sign and \u0130stanbul is the city of a",
+    "numbers \u0660\u0661\u0662\u0663 and 12\u06634 mixed_with_underscores \xbd half",
+    "\u4e2d\u6587 \u6587\u672c the \u4e2d a",
+    "a\x1cb\x0bc\x1fd\x85e\u2028f\xa0g\x1dh\x1ei",
+    "THE The tHe OF. of, An-an; IS: is were BEEN from-this that",
+    "__init__ ___ _a_ 3_4",
+    " leading and trailing  \u3000",
+    "\xe9migr\xe9 caf\xe9 na\xefve r\xe9sum\xe9 \xfcber",
+    "\uff21\uff22\uff23\uff11\uff12\uff13 \U0001f642 emoji! a\U0001f642b",
+    "lorem ipsum, dolor   sit\n" * 5000,  # one text longer than a hash chunk
+]
+
+
+def _all_codepoint_texts(chunk: int = 8192) -> list[str]:
+    """Every code point 0..0x10FFFF except surrogates, each set between
+    ASCII letters, digits and spaces (cycling separators)."""
+    seps = ["a", "1", " ", "Ab", "12", "  "]
+    cps = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    return ["".join(seps[i % 6] + chr(c) for i, c in enumerate(cps[lo:lo + chunk]))
+            for lo in range(0, len(cps), chunk)]
+
+
+def _ref_counts(t: str) -> dict:
+    import re
+
+    from borges_ray.ops.textops import STOPWORDS, TOKEN_RE
+
+    words = re.findall(r"[A-Za-z]+", t)
+    return {"ws": len(t.split()), "bpe": len(TOKEN_RE.findall(t)),
+            "punct": len(re.findall(r"[^\w\s]", t)), "n_chars": len(t),
+            "n_words": len(words),
+            "n_stop": sum(w.lower() in STOPWORDS for w in words),
+            "word_chars": sum(len(w) for w in words)}
+
+
+def _ref_fingerprint(t: str) -> int:
+    import re
+
+    h = 0
+    for b in re.sub(r"\s+", " ", t.strip()).encode("utf-8"):
+        h = (h * 1_000_003 + b) % (1 << 64)
+    return h
+
+
+def _ref_signature(t: str, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    import hashlib
+
+    toks = t.split()
+    if not toks:
+        return np.zeros(len(a), dtype=np.uint64)
+    th = [int.from_bytes(hashlib.blake2b(w.encode("utf-8"), digest_size=8)
+                         .digest(), "big") for w in toks]
+    k = min(k, len(toks))
+    sh = []
+    for i in range(len(toks) - k + 1):
+        acc = 0
+        for j in range(k):
+            acc = (acc * 0x9E3779B97F4A7C15 + th[i + j]) % (1 << 64)
+        sh.append(acc)
+    sh = np.array(sh, dtype=np.uint64)
+    return (a[:, None] * sh[None, :] + b[:, None]).min(axis=1)
+
+
+def _check_kernels_exact(texts: list[str], num_perm: int) -> None:
+    from borges_ray.ops.dedup import MinHasher
+    from borges_ray.ops.textops import (QualityScorer, fingerprint_batch,
+                                        token_count_batch)
+
+    refs = [_ref_counts(t) for t in texts]
+    s = pd.Series(texts)
+    ws, bpe = token_count_batch(s)
+    assert ws.tolist() == [r["ws"] for r in refs]
+    assert bpe.tolist() == [r["bpe"] for r in refs]
+
+    q = QualityScorer()(pd.DataFrame({"text": s}))
+    assert q["n_chars"].tolist() == [r["n_chars"] for r in refs]
+    assert q["n_words"].tolist() == [r["n_words"] for r in refs]
+    for col, num, den in [("punct_ratio", "punct", "n_chars"),
+                          ("stopword_ratio", "n_stop", "n_words"),
+                          ("mean_word_len", "word_chars", "n_words")]:
+        want = [np.round(np.float64(r[num]) / max(r[den], 1), 6) for r in refs]
+        assert q[col].tolist() == want, col
+
+    assert fingerprint_batch(s).tolist() == [_ref_fingerprint(t) for t in texts]
+
+    mh = MinHasher(num_perm=num_perm, shingle_k=3)
+    got = mh(pd.DataFrame({"text": texts}))["__sig"].tolist()
+    assert got == [_ref_signature(t, mh.a, mh.b, 3).tobytes() for t in texts]
+
+
+def test_featurize_kernels_exact_every_codepoint():
+    _check_kernels_exact(_all_codepoint_texts(), num_perm=4)
+
+
+def test_featurize_kernels_exact_edge_batch():
+    _check_kernels_exact(_EDGE_TEXTS, num_perm=16)
+    _check_kernels_exact(_EDGE_TEXTS[::-1] + [""], num_perm=16)
+
+
+def test_page_featurizer_exact():
+    """PageFeaturizer columns == the per-text references on the perfbench
+    page shape, with one over-cap row degraded to an error row."""
+    import pyarrow as pa
+
+    from borges_ray.extract import extract_text, tag_lang_batch
+    from borges_ray.pipelines.ingest import PageFeaturizer
+    from borges_ray.synth import synth_pages
+
+    pages = synth_pages(1, 300, words_lo=400, words_hi=1000).select(["url", "html"])
+    cap = max(len(h) for h in pages["html"].to_pylist())
+    big = pa.table({"url": ["http://big.example/p"],
+                    "html": [b"<html><body><p>" + b"word " * cap + b"</p></body></html>"]})
+    pages = pa.concat_tables([pages.slice(0, 150), big.cast(pages.schema),
+                              pages.slice(150)])
+    pf = PageFeaturizer(num_perm=32, shingle_k=3, max_payload_bytes=cap)
+    out = pf(pages)
+    assert out.column_names == [
+        "url", "extracted_text", "lang", "n_ws_tokens", "n_bpe_tokens",
+        "fingerprint", "punct_ratio", "stopword_ratio", "mean_word_len",
+        "minhash_sig", "n_html_bytes", "error"]
+    assert [f.type for f in out.schema] == [
+        pa.string(), pa.string(), pa.string(), pa.int64(), pa.int64(),
+        pa.uint64(), pa.float64(), pa.float64(), pa.float64(), pa.binary(),
+        pa.int64(), pa.string()]
+    htmls = pages["html"].to_pylist()
+    texts = ["" if len(h) > cap else extract_text(h) for h in htmls]
+    assert texts[150] == "" and texts[0]
+    c = out.to_pydict()
+    assert c["url"] == pages["url"].to_pylist()
+    assert c["extracted_text"] == texts
+    assert c["lang"] == tag_lang_batch(texts)
+    assert c["n_html_bytes"] == [len(h) for h in htmls]
+    assert c["error"] == [None] * 150 + ["payload_too_large"] + [None] * 150
+    refs = [_ref_counts(t) for t in texts]
+    assert c["n_ws_tokens"] == [r["ws"] for r in refs]
+    assert c["n_bpe_tokens"] == [r["bpe"] for r in refs]
+    assert c["fingerprint"] == [_ref_fingerprint(t) for t in texts]
+    for col, num, den in [("punct_ratio", "punct", "n_chars"),
+                          ("stopword_ratio", "n_stop", "n_words"),
+                          ("mean_word_len", "word_chars", "n_words")]:
+        assert c[col] == [np.round(np.float64(r[num]) / max(r[den], 1), 6)
+                          for r in refs], col
+    a, b = pf.minhash.a, pf.minhash.b
+    assert c["minhash_sig"] == [_ref_signature(t, a, b, 3).tobytes() for t in texts]
+
+
 def test_knn_ivf(vecs):
     m, ds = vecs
     from borges_ray.ops.embed import knn_brute, knn_ivf, train_ivf_centroids
@@ -880,6 +1033,27 @@ def test_lm_perplexity(ray_session):
     # identical docs score identically; common text beats rare text
     assert out.loc[0, "ppl"] == out.loc[1, "ppl"]
     assert out.loc[0, "ppl"] < out.loc[2, "ppl"]
+
+
+def test_lm_auto_buckets_unknown_size_keeps_32(ray_session):
+    """Auto-sized lm_perplexity buckets: an unknown input size (None or a
+    raising ``size_bytes``) falls back to 32 buckets; a known small size
+    still gets the minimum of 8."""
+    from borges_ray.ops.lm import _auto_buckets
+
+    class Unknown:
+        def size_bytes(self):
+            return None
+
+    class Raises:
+        def size_bytes(self):
+            raise RuntimeError("size not available")
+
+    assert _auto_buckets(Unknown()) == 32
+    assert _auto_buckets(Raises()) == 32
+    small = rd.from_pandas(pd.DataFrame({"doc_id": [1, 2], "text": ["a b", "c d"]}))
+    assert small.size_bytes() is not None
+    assert _auto_buckets(small) == 8
 
 
 def test_kmeans_lloyd(ray_session):
@@ -1775,6 +1949,29 @@ def test_containment_pairs_quote_inclusion(ray_session):
                               width=4, min_containment=0.5, max_fp_docs=64)
             .to_pandas())
     assert len(out2) == 0  # every shared shingle now exceeds max_fp_docs
+
+
+def test_containment_pairs_duplicated_doc_row(ray_session):
+    """A doc row present twice (same id, same text) yields no self-pair
+    and the same pairs and shared counts as the deduplicated input."""
+    from borges_ray.ops.dedup import containment_pairs
+
+    quote = "alpha beta gamma delta epsilon zeta"
+    docs = pd.DataFrame({
+        "doc_id": [1, 2, 3],
+        "text": [quote, "x1 x2 " + quote + " y1 y2", "p q r s t u v w"],
+    })
+    dup = pd.concat([docs, docs.iloc[[1]]], ignore_index=True)
+
+    def run(df):
+        out = containment_pairs(rd.from_pandas(df).repartition(2), width=4,
+                                min_containment=0.5).to_pandas()
+        return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+    want, got = run(docs), run(dup)
+    assert (got["id_a"] != got["id_b"]).all()
+    assert len(want) == 1
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_proximity_search_min_dist(ray_session, tmp_path):
