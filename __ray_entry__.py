@@ -184,32 +184,24 @@ def _q_quality(sf_dir: str):
 
 def _q_join_broadcast(sf_dir: str):
     """Broadcast dimension join (J3/J4) + grouped aggregate."""
-    from borges_ray.ops.relational import broadcast_join, grouped_agg, load
+    import ray.data as rd
 
-    orders = load(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+    from borges_ray.ops.relational import attach_or_filter, grouped_agg, load
+
+    # the dimension side is only read driver-side when parquet metadata says
+    # it IS small; past the broadcast guard it stays a distributed Dataset.
+    # It is pulled or shuffled whole, so it skips load()'s row-count block
+    # split (meant for per-row kernels; 64 read tasks for 15k rows here)
+    joined = attach_or_filter(
+        load(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]),
+        rd.read_parquet(f"{sf_dir}/customer.parquet",
+                        columns=["c_custkey", "c_mktsegment"]),
+        "c_custkey", {"o_custkey": {"c_mktsegment": "c_mktsegment"}}, "inner")
     # exact integer cents → associative partial sums (see pricing_summary)
-    orders = orders.map_batches(
+    joined = joined.map_batches(
         lambda t: t.append_column(
             "price_c", pc.cast(pc.round(pc.multiply(t["o_totalprice"], pa.scalar(100.0))), pa.int64())),
         batch_format="pyarrow")
-    # the dimension side is only read driver-side when parquet metadata says
-    # it IS small; past the broadcast guard it stays a distributed Dataset
-    import pyarrow.parquet as pq
-
-    from borges_ray.ops.relational import BROADCAST_MAX_ROWS, hash_join
-
-    n_cust = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-    if n_cust > BROADCAST_MAX_ROWS:
-        cust = load(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-        cust = cust.map_batches(
-            lambda t: t.rename_columns(["o_custkey", "c_mktsegment"]),
-            batch_format="pyarrow")
-        joined = hash_join(orders, cust, on=["o_custkey"])
-    else:
-        cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
-                               columns=["c_custkey", "c_mktsegment"])
-        cust = cust.rename(columns={"c_custkey": "o_custkey"})
-        joined = broadcast_join(orders, cust, on=["o_custkey"], how="inner")
     out = grouped_agg(joined, ["c_mktsegment"],
                       {"sum_price_c": ("sum", "price_c"), "n_orders": ("count", "o_totalprice")})
     df = out.to_pandas()
@@ -1864,12 +1856,16 @@ def _q_graph_components(sf_dir: str):
     out as a Dataset.  Graph: per-order line chains hung off their
     customer node (components = one star-of-chains per customer, so the
     recursive-CTE oracle's state space stays bounded)."""
+    import ray.data as rd
+
     from borges_ray.ops.dedup import near_dup_labels_ds
-    from borges_ray.ops.relational import hash_join, load
+    from borges_ray.ops.relational import attach_or_filter, load
 
     li = load(sf_dir, "lineitem",
               columns=["l_orderkey", "l_linenumber"])
-    orders = load(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    # the lookup side is pulled or shuffled whole: no row-count block split
+    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
+                             columns=["o_orderkey", "o_custkey"])
 
     def chain_edges(df: pd.DataFrame) -> pd.DataFrame:
         ok = df["l_orderkey"].to_numpy("int64")
@@ -1880,24 +1876,17 @@ def _q_graph_components(sf_dir: str):
 
     chains = li.map_batches(chain_edges, batch_format="pandas")
 
-    first = li.map_batches(
-        lambda df: df.loc[df["l_linenumber"] == 1, ["l_orderkey"]]
-        .rename(columns={"l_orderkey": "o_orderkey"}),
-        batch_format="pandas")
-    # orders is the dimension side (16 B/row): broadcast under the guard,
-    # shuffle-join past it
-    from borges_ray.ops.relational import BROADCAST_MAX_ROWS, broadcast_join
+    def hook(df: pd.DataFrame) -> pd.DataFrame:
+        f = df[df["l_linenumber"] == 1]
+        return pd.DataFrame({"id_a": -f["o_custkey"].to_numpy("int64"),
+                             "id_b": f["l_orderkey"].to_numpy("int64") * 8 + 1})
 
-    if int(orders.count()) <= BROADCAST_MAX_ROWS:
-        hooked = broadcast_join(first, orders.to_pandas(),
-                                on=["o_orderkey"])
-    else:
-        hooked = hash_join(first, orders, on=["o_orderkey"])
-    hooks = hooked.map_batches(
-        lambda df: pd.DataFrame({
-            "id_a": -df["o_custkey"].to_numpy("int64"),
-            "id_b": df["o_orderkey"].to_numpy("int64") * 8 + 1}),
-        batch_format="pandas")
+    # orders is the dimension side (16 B/row); the line table probes it
+    # straight from its Parquet read and each order's first line hooks to
+    # its customer node
+    hooks = attach_or_filter(li, orders, "o_orderkey",
+                             {"l_orderkey": {"o_custkey": "o_custkey"}},
+                             "inner").map_batches(hook, batch_format="pandas")
 
     return near_dup_labels_ds(chains.union(hooks))
 
@@ -4182,9 +4171,11 @@ def oracle_sql() -> dict[str, str]:
               SELECT doc_id, sum(gv) AS tot FROM g GROUP BY 1
             ), ah AS (
               SELECT g.doc_id,
-                     CAST(coalesce(sum(CASE WHEN bit <= 62 AND gv*64 > tot
-                          THEN (CAST(1 AS BIGINT) << bit) END), 0)
-                       AS BIGINT) AS ahash
+                     -- all 64 bits as the int64 two's-complement view
+                     CAST((coalesce(sum(CASE WHEN gv*64 > tot
+                          THEN CAST(1 AS HUGEINT) << bit END), 0)
+                          + 9223372036854775808) % 18446744073709551616
+                          - 9223372036854775808 AS BIGINT) AS ahash
               FROM g JOIN tot USING (doc_id) GROUP BY g.doc_id
             )
             SELECT a.doc_id AS id_a, b.doc_id AS id_b,
@@ -4221,9 +4212,11 @@ def oracle_sql() -> dict[str, str]:
               SELECT doc_id, sum(g) AS tot FROM gray GROUP BY 1
             ), ah AS (
               SELECT gray.doc_id,
-                     CAST(coalesce(sum(CASE WHEN bit <= 62 AND g*64 > tot
-                          THEN (CAST(1 AS BIGINT) << bit) END), 0)
-                       AS BIGINT) AS ahash
+                     -- all 64 bits as the int64 two's-complement view
+                     CAST((coalesce(sum(CASE WHEN g*64 > tot
+                          THEN CAST(1 AS HUGEINT) << bit END), 0)
+                          + 9223372036854775808) % 18446744073709551616
+                          - 9223372036854775808 AS BIGINT) AS ahash
               FROM gray JOIN tot USING (doc_id) GROUP BY gray.doc_id
             )
             SELECT m.doc_id,

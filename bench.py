@@ -199,6 +199,9 @@ QUERY_SUBSET = [
     "video_frame_stats", "bulk_ingest_resumable",
     # strongly connected components (fused forward-backward fixpoint)
     "scc",
+    # the remaining size-guarded lookup sites (relational.attach_or_filter)
+    "join_broadcast", "clustering_coeff", "degree_assortativity",
+    "cocitation", "editdist_join",
 ]
 
 

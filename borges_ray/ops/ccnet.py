@@ -338,7 +338,7 @@ def exact_substr_rewrite(ds: rd.Dataset, id_col: str = "doc_id",
       hash (`grouped_agg` partials bound the exchange by distinct
       windows, not occurrences);
     - loser occurrences flow back as keys-only ``(id, start)`` intervals
-      via a distributed hash join on the window hash;
+      via a size-guarded lookup on the window hash;
     - document text crosses the wire exactly ONCE: a disk-bucketed
       cogroup on ``doc_id`` co-locates each doc's text with its removal
       intervals and splices per bucket (vectorized interval-union via a
@@ -378,10 +378,7 @@ def exact_substr_rewrite(ds: rd.Dataset, id_col: str = "doc_id",
     import os
     import tempfile
 
-    import pyarrow.parquet as pq
-
-    from .relational import (BROADCAST_MAX_ROWS, broadcast_join, hash_join,
-                             spill_point)
+    from .relational import attach_or_filter, spill_point
 
     ranked = spill_point(occ.map_batches(add_rank, batch_format="pandas"),
                          "xsubstr_occ", target_bytes=32 << 20)
@@ -399,26 +396,21 @@ def exact_substr_rewrite(ds: rd.Dataset, id_col: str = "doc_id",
         })
 
     # the dup table is bounded by DISTINCT duplicated windows — usually
-    # tiny vs occurrences.  Spill it, let parquet METADATA decide: under
-    # the broadcast guard the driver reads it and the join is a map-side
-    # broadcast (no shuffle of the occurrence table); past the guard it
-    # stays a distributed hash join.
+    # tiny vs occurrences.  Spill it so the lookup counts it from parquet
+    # METADATA: under the broadcast guard it is a map-side probe (no
+    # shuffle of the occurrence table); past the guard it stays a
+    # distributed hash join.  No files means no duplicated window.
     dup_dir = tempfile.mkdtemp(prefix="borges_xsubstr_dup_")
     dup.write_parquet(dup_dir)
     dup_files = [os.path.join(dup_dir, f) for f in os.listdir(dup_dir)
                  if f.endswith(".parquet")]
-    n_dup = sum(pq.ParquetFile(f).metadata.num_rows for f in dup_files)
-    if n_dup == 0:
+    if not dup_files:
         rem = rd.from_pandas(pd.DataFrame({id_col: pd.Series(dtype="int64"),
                                            "i": pd.Series(dtype="int64")}))
     else:
-        if n_dup <= BROADCAST_MAX_ROWS:
-            joined = broadcast_join(ranked, pd.read_parquet(dup_dir),
-                                    on=["__wh"])
-        else:
-            joined = hash_join(ranked, rd.read_parquet(dup_files),
-                               on=["__wh"])
-        rem = joined.map_batches(losers, batch_format="pandas")
+        rem = attach_or_filter(ranked, rd.read_parquet(dup_files), "__wh",
+                               {"__wh": {"rmin": "rmin"}}, "inner") \
+            .map_batches(losers, batch_format="pandas")
 
     empty_out = pd.DataFrame({id_col: pd.Series(dtype="int64"),
                               "n_tokens": pd.Series(dtype="int64"),

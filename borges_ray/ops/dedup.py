@@ -1473,7 +1473,7 @@ def editdist_pairs_ds(
     distinct ``(id, gram)`` rows → groupby(gram) attach df →
     groupby(id) keep (df, gram)-smallest ``q·k+1`` prefix →
     groupby(gram) pair spawn with in-bucket length filter → distinct →
-    two hash-joins attach the strings → banded verify.  The reference
+    one size-guarded lookup attaches both strings → banded verify.  The reference
     has no fuzzy-string notion at all (its nearest analogue is the
     exact insert gate, ``Borges/db_scripts/insert_jl.py:28-41``).
 
@@ -1483,8 +1483,7 @@ def editdist_pairs_ds(
     ``max_bucket`` (None = exact) caps one gram bucket's pair spawn for
     memory safety under adversarial skew (recall-only trade; verify
     keeps precision exact)."""
-    from .relational import (BROADCAST_MAX_BYTES, BROADCAST_MAX_ROWS,
-                             distinct, groupby_buckets, hash_join,
+    from .relational import (attach_or_filter, distinct, groupby_buckets,
                              schema_anchor, spill_point)
 
     k = int(max_dist)
@@ -1622,56 +1621,16 @@ def editdist_pairs_ds(
         km = np.abs(lns[fst] - lns[snd]) <= k
         return pd.DataFrame({"id_a": ids[fst][km], "id_b": ids[snd][km]})
 
-    cands = distinct(groupby_buckets(cand_rows, ["gram"], gram_pairs),
-                     ["id_a", "id_b"])
-
-    from .relational import _over_broadcast_limit
-
-    strs_pd = None
-    if int(strs.count()) <= BROADCAST_MAX_ROWS:
-        cand_pd = strs.to_pandas()[[id_col, "__s"]]
-        if not _over_broadcast_limit(cand_pd, BROADCAST_MAX_ROWS,
-                                     BROADCAST_MAX_BYTES):
-            strs_pd = cand_pd
-    if strs_pd is not None:
-        # string table fits the broadcast guard (rows AND payload bytes):
-        # put one id→string dict and attach both sides in the verify map
-        # — the two id-keyed string-payload shuffle joins disappear
-        import ray as _ray
-
-        ref_s = _ray.put(dict(zip(strs_pd[id_col].astype(int),
-                                  strs_pd["__s"])))
-
-        def verify_b(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                     "id_b": pd.Series(dtype="int64"),
-                                     "dist": pd.Series(dtype="int64")})
-            from .relational import cached_get
-            lut = cached_get(ref_s)
-            ia = df["id_a"].to_numpy("int64")
-            ib = df["id_b"].to_numpy("int64")
-            dist = np.fromiter(
-                (_banded_levenshtein(lut[a], lut[b], k)
-                 for a, b in zip(ia.tolist(), ib.tolist())),
-                dtype=np.int64, count=len(df))
-            keep = dist <= k
-            return pd.DataFrame({"id_a": ia[keep], "id_b": ib[keep],
-                                 "dist": dist[keep]})
-
-        return schema_anchor(
-            cands.map_batches(verify_b, batch_format="pandas"),
-            pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                          "id_b": pd.Series(dtype="int64"),
-                          "dist": pd.Series(dtype="int64")}))
-
-    sa = strs.map_batches(
-        lambda df: pd.DataFrame({"id_a": df[id_col], "s_a": df["__s"]}),
-        batch_format="pandas")
-    sb = strs.map_batches(
-        lambda df: pd.DataFrame({"id_b": df[id_col], "s_b": df["__s"]}),
-        batch_format="pandas")
-    j = hash_join(hash_join(cands, sa, on=["id_a"]), sb, on=["id_b"])
+    # candidate pairs spill once so the lookup reads their schema without
+    # re-running the two gram exchanges; the string table attaches to both
+    # sides through one lookup (the byte guard matters here: strings are
+    # the payload)
+    cands = spill_point(
+        distinct(groupby_buckets(cand_rows, ["gram"], gram_pairs),
+                 ["id_a", "id_b"]), "edj_cand")
+    j = attach_or_filter(cands, strs, id_col,
+                         {"id_a": {"__s": "s_a"}, "id_b": {"__s": "s_b"}},
+                         "inner")
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         dist = np.fromiter(

@@ -591,9 +591,10 @@ def triangle_counts(
 
     Returns ``(node int64, n_triangles int64)`` for nodes in ≥1 triangle.
     """
-    from .relational import (BROADCAST_MAX_ROWS as _BCAST_MAX, distinct,
-                             grouped_agg, groupby_buckets, hash_join,
-                             run_pair_indices, schema_anchor, spill_point)
+    from .relational import (BROADCAST_MAX_ROWS as _BCAST_MAX,
+                             attach_or_filter, distinct, grouped_agg,
+                             groupby_buckets, hash_join, run_pair_indices,
+                             schema_anchor, spill_point)
 
     def undirect(df: pd.DataFrame) -> pd.DataFrame:
         a = df[src_col].to_numpy("int64")
@@ -642,48 +643,18 @@ def triangle_counts(
 
     if deg_ds is not None:
         # caller supplies the (node, deg) table of ``und`` (already
-        # pinned).  Node-sized and usually broadcastable: put it once as
-        # two sorted arrays and orient map-side; past the guard, attach
-        # via two hash joins.
-        n_nodes_d = int(deg_ds.count())
-        if n_nodes_d <= _BCAST_MAX:
-            import ray as _ray
+        # pinned): attach both endpoint degrees, then orient map-side
+        def orient(df: pd.DataFrame) -> pd.DataFrame:
+            return orient_arrays(df["u"].to_numpy("int64"),
+                                 df["v"].to_numpy("int64"),
+                                 df["deg_u"].to_numpy("int64"),
+                                 df["deg_v"].to_numpy("int64"))
 
-            dpd = deg_ds.to_pandas().sort_values("node")
-            ref_d = _ray.put((dpd["node"].to_numpy("int64"),
-                              dpd["deg"].to_numpy("int64")))
-
-            def orient_b(df: pd.DataFrame) -> pd.DataFrame:
-                if not len(df):
-                    return pd.DataFrame({c: pd.Series(dtype="int64")
-                                         for c in ("a", "b", "deg_b")})
-                keys, vals = _ray.get(ref_d)
-                u = df["u"].to_numpy("int64")
-                v = df["v"].to_numpy("int64")
-                return orient_arrays(u, v, vals[np.searchsorted(keys, u)],
-                                     vals[np.searchsorted(keys, v)])
-
-            oriented = spill_point(
-                und.map_batches(orient_b, batch_format="pandas"), "tri_or")
-        else:
-            du = deg_ds.map_batches(
-                lambda df: pd.DataFrame({"u": df["node"],
-                                         "deg_u": df["deg"]}),
-                batch_format="pandas")
-            dv = deg_ds.map_batches(
-                lambda df: pd.DataFrame({"v": df["node"],
-                                         "deg_v": df["deg"]}),
-                batch_format="pandas")
-            withdeg = hash_join(hash_join(und, du, on=["u"]), dv, on=["v"])
-
-            def orient(df: pd.DataFrame) -> pd.DataFrame:
-                return orient_arrays(df["u"].to_numpy("int64"),
-                                     df["v"].to_numpy("int64"),
-                                     df["deg_u"].to_numpy("int64"),
-                                     df["deg_v"].to_numpy("int64"))
-
-            oriented = spill_point(
-                withdeg.map_batches(orient, batch_format="pandas"), "tri_or")
+        withdeg = attach_or_filter(und, deg_ds, "node",
+                                   {"u": {"deg": "deg_u"},
+                                    "v": {"deg": "deg_v"}}, "inner")
+        oriented = spill_point(
+            withdeg.map_batches(orient, batch_format="pandas"), "tri_or")
     elif (_rng := raw.map_batches(
             lambda df: pd.DataFrame(
                 {"lo": [np.int64(min(df["u"].min(), df["v"].min()))],
@@ -973,16 +944,17 @@ def mirror_hosts(
        stop-list rule, applied identically in the SQL twin.
     4. pair counts sum through one combiner-bounded shuffle; pairs
        under ``min_shared`` drop.
-    5. set sizes attach via a size-guarded BROADCAST of the host table
-       (24 B/host, ray.put once) — or two hash-joins past the guard;
+    5. both set sizes attach through one size-guarded lookup of the
+       host table (:func:`~.relational.attach_or_filter`: a broadcast of
+       24 B/host, or two hash joins past the guard);
        Jaccard = shared/(|A|+|B|-shared).
 
     Returns ``(host_a, host_b, shared int64, jaccard float)`` with
     host_a < host_b.  No driver state at any step past the broadcast
     guard — at 10^8+ hosts the size table stays a Dataset.
     """
-    from .relational import (BROADCAST_MAX_ROWS, grouped_agg,
-                             groupby_buckets, hash_join, spill_point)
+    from .relational import (attach_or_filter, grouped_agg, groupby_buckets,
+                             schema_anchor, spill_point)
 
     # per-block pre-dedup only — BOTH downstream consumers key their
     # bucketed exchange by a superset-colocating key (host for sizes, fp
@@ -1035,55 +1007,19 @@ def mirror_hosts(
         return g.rename("shared").reset_index()
 
     partial = groupby_buckets(pre, [fp_col], spawn)
-    from .relational import schema_anchor
     counts = schema_anchor(
         grouped_agg(partial, ["host_a", "host_b"],
-                    {"shared": ("sum", "shared")}),
+                    {"shared": ("sum", "shared")}).map_batches(
+            lambda df: df[df["shared"] >= min_shared],
+            batch_format="pandas"),
         pd.DataFrame({"host_a": pd.Series(dtype="object"),
                       "host_b": pd.Series(dtype="object"),
                       "shared": pd.Series(dtype="int64")}))
-    counts = counts.map_batches(
-        lambda df: df[df["shared"] >= min_shared],
-        batch_format="pandas")
-
-    n_hosts = int(sizes.count())
-    if n_hosts <= BROADCAST_MAX_ROWS:
-        # the host-size table broadcasts (24 B/host): attach both sides
-        # map-side instead of two shuffle joins.  Past the guard (10^8+
-        # hosts) the join path below keeps everything distributed.
-        import ray as _ray
-
-        szpd = sizes.to_pandas()
-        ref_sz = _ray.put(dict(zip(szpd[host_col], szpd["n"].astype(int))))
-
-        def finish_b(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({
-                    "host_a": pd.Series(dtype="object"),
-                    "host_b": pd.Series(dtype="object"),
-                    "shared": pd.Series(dtype="int64"),
-                    "jaccard": pd.Series(dtype="float64")})
-            from .relational import cached_get
-            lut = cached_get(ref_sz)
-            sh = df["shared"].to_numpy("int64")
-            na = df["host_a"].map(lut).to_numpy("int64")
-            nb = df["host_b"].map(lut).to_numpy("int64")
-            un = na + nb - sh
-            return pd.DataFrame({
-                "host_a": df["host_a"], "host_b": df["host_b"],
-                "shared": sh,
-                "jaccard": np.round(sh / un.astype("float64"), round_to)})
-
-        return counts.map_batches(finish_b, batch_format="pandas")
-
-    sz_a = sizes.map_batches(
-        lambda df: pd.DataFrame({"host_a": df[host_col], "n_a": df["n"]}),
-        batch_format="pandas")
-    sz_b = sizes.map_batches(
-        lambda df: pd.DataFrame({"host_b": df[host_col], "n_b": df["n"]}),
-        batch_format="pandas")
-    j = hash_join(hash_join(counts, sz_a, on=["host_a"]),
-                  sz_b, on=["host_b"])
+    # spilled so the lookup reads its schema without re-running the two
+    # exchanges above
+    j = attach_or_filter(spill_point(counts, "mh_cnt"), sizes, host_col,
+                         {"host_a": {"n": "n_a"}, "host_b": {"n": "n_b"}},
+                         "inner")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         sh = df["shared"].to_numpy("int64")
@@ -1309,7 +1245,8 @@ def degree_assortativity(edges: rd.Dataset, *, src_col: str = "src",
     population normalization, so the combiner form matches exactly).
     A graph with < 2 distinct degree values yields NaN like SQL NULL.
     """
-    from .relational import distinct, grouped_agg, hash_join, spill_point
+    from .relational import (attach_or_filter, distinct, grouped_agg,
+                             spill_point)
 
     def undirect(df: pd.DataFrame) -> pd.DataFrame:
         a = df[src_col].to_numpy("int64")
@@ -1328,36 +1265,9 @@ def degree_assortativity(edges: rd.Dataset, *, src_col: str = "src",
         batch_format="pandas")
     deg = spill_point(
         grouped_agg(ends, ["node"], {"deg": ("count", "node")}), "asrt_deg")
-    from .relational import BROADCAST_MAX_ROWS as _AS_BCAST
-    if int(deg.count()) <= _AS_BCAST:
-        # node-sized degree table: put once as two sorted arrays and
-        # attach both endpoints map-side — no edge-sized join exchanges
-        import ray as _ray
-
-        dpd = deg.to_pandas().sort_values("node")
-        ref_d = _ray.put((dpd["node"].to_numpy("int64"),
-                          dpd["deg"].to_numpy("int64")))
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({c: pd.Series(dtype="int64")
-                                     for c in ("u", "v", "deg_u", "deg_v")})
-            k, dv_ = _ray.get(ref_d)
-            u = df["u"].to_numpy("int64")
-            v = df["v"].to_numpy("int64")
-            return pd.DataFrame({"u": u, "v": v,
-                                 "deg_u": dv_[np.searchsorted(k, u)],
-                                 "deg_v": dv_[np.searchsorted(k, v)]})
-
-        withdeg = und.map_batches(attach, batch_format="pandas")
-    else:
-        du = deg.map_batches(
-            lambda df: pd.DataFrame({"u": df["node"], "deg_u": df["deg"]}),
-            batch_format="pandas")
-        dv = deg.map_batches(
-            lambda df: pd.DataFrame({"v": df["node"], "deg_v": df["deg"]}),
-            batch_format="pandas")
-        withdeg = hash_join(hash_join(und, du, on=["u"]), dv, on=["v"])
+    withdeg = attach_or_filter(und, deg, "node",
+                               {"u": {"deg": "deg_u"}, "v": {"deg": "deg_v"}},
+                               "inner")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cols = ("pn", "sx", "sxx", "sxy")
@@ -1642,8 +1552,9 @@ def cocitation(edges: rd.Dataset, *, src_col: str = "src",
     Returns a pandas DataFrame ``(x int64, y int64, n int64)`` of the
     top ``k`` pairs by (n desc, x, y).
     """
-    from .relational import (distinct, grouped_agg, groupby_buckets,
-                             hash_join, schema_anchor, spill_point, topk)
+    from .relational import (attach_or_filter, distinct, grouped_agg,
+                             groupby_buckets, schema_anchor, spill_point,
+                             topk)
 
     PACK = np.int64(1) << np.int64(32)
 
@@ -1673,28 +1584,7 @@ def cocitation(edges: rd.Dataset, *, src_col: str = "src",
     elig = spill_point(outdeg.map_batches(
         lambda df: df[(df["od"] >= 2) & (df["od"] <= max_fanout)][["s"]],
         batch_format="pandas"), "cocite_el")
-    from .relational import BROADCAST_MAX_ROWS as _CC_BCAST
-    if int(elig.count()) <= _CC_BCAST:
-        # the eligible-source set is node-sized: one sorted id array put
-        # once, membership filter map-side — no edge-sized join exchange
-        import ray as _ray
-
-        el_ids = np.sort(elig.to_pandas()["s"].to_numpy("int64"))
-        ref_el = _ray.put(el_ids)
-
-        def keep_elig(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return df
-            ee = _ray.get(ref_el)
-            sv = df["s"].to_numpy("int64")
-            if not len(ee):
-                return df.iloc[0:0]
-            pos = np.minimum(np.searchsorted(ee, sv), len(ee) - 1)
-            return df.loc[ee[pos] == sv]
-
-        el = e.map_batches(keep_elig, batch_format="pandas")
-    else:
-        el = hash_join(e, elig, on=["s"])
+    el = attach_or_filter(e, elig, "s", {"s": {}}, "semi")
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"x": pd.Series(dtype="int64"),
@@ -1911,10 +1801,11 @@ def kcore(
     farms live in dense cores; the k-core is the maximal subgraph with
     min-degree ≥ k).
 
-    Distributed round = one grouped degree count + two keys-only
-    ANTI-joins removing edges that touch the round's DEAD set (nodes
-    whose degree fell under ``k``).  The dead set is the anti-join build
-    side — after round 1 it is a small fringe, so the wire carries the
+    Distributed round = one grouped degree count + one keys-only ANTI
+    lookup on both endpoints removing edges that touch the round's DEAD
+    set (nodes whose degree fell under ``k``).  The dead set is the
+    lookup side — after round 1 it is a small fringe, broadcast under
+    the guard (two anti-joins past it), so the wire carries the
     shrinking edge list plus a handful of distinct node keys; the edge
     list spills to parquet per round so lineage stays flat.  The driver
     sees ONE scalar per round (the dead count, for the convergence
@@ -1929,7 +1820,7 @@ def kcore(
     web graphs.  Returns ``(node, deg)`` — degree within the core
     subgraph — for every surviving node.
     """
-    from .relational import grouped_agg, hash_semi_join, schema_anchor, spill_point
+    from .relational import attach_or_filter, grouped_agg, spill_point
 
     def undirect(df: pd.DataFrame) -> pd.DataFrame:
         u = df[src_col].to_numpy("int64")
@@ -1952,59 +1843,20 @@ def kcore(
 
     surv = spill_point(und.map_batches(sym, batch_format="pandas"), "kcore_e")
 
-    def _swap(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={"u": "v", "v": "u"})[["u", "v"]]
-
     n_dead = 0
     for rnd in range(max_rounds):
         # one degree count per round; the DEAD set (usually a small
-        # fringe after round 1) is the anti-join build side — its
-        # distinct keys are all that cross the wire besides the
-        # shrinking edge list itself
+        # fringe after round 1) is materialized once for the convergence
+        # count and the lookup, which drops every edge touching it
         deg = grouped_agg(surv, ["u"], {"deg": ("count", "v")})
         dead = deg.map_batches(lambda df: df.loc[df["deg"] < k, ["u"]],
-                               batch_format="pandas")
+                               batch_format="pandas").materialize()
         n_dead = int(dead.count())
         if n_dead == 0:
             break
-        uv_tmpl = pd.DataFrame({"u": pd.Series(dtype="int64"),
-                                "v": pd.Series(dtype="int64")})
-        from .relational import BROADCAST_MAX_ROWS
-        if n_dead <= BROADCAST_MAX_ROWS:
-            # the dead fringe is node-sized: put its sorted id array once
-            # and drop both endpoints in ONE map pass — the two anti
-            # semi-join exchanges collapse to zero shuffles per round
-            import ray as _ray
-
-            dead_ids = np.sort(dead.to_pandas()["u"].to_numpy("int64"))
-            ref_dead = _ray.put(dead_ids)
-
-            def drop_dead(df: pd.DataFrame) -> pd.DataFrame:
-                if not len(df):
-                    return df
-                dd = _ray.get(ref_dead)
-                u = df["u"].to_numpy("int64")
-                v = df["v"].to_numpy("int64")
-                pu = np.minimum(np.searchsorted(dd, u), len(dd) - 1)
-                pv = np.minimum(np.searchsorted(dd, v), len(dd) - 1)
-                keep = (dd[pu] != u) & (dd[pv] != v)
-                return pd.DataFrame({"u": u[keep], "v": v[keep]})
-
-            surv = schema_anchor(
-                spill_point(
-                    surv.map_batches(drop_dead, batch_format="pandas"),
-                    f"kcore_e{rnd + 1}"),
-                uv_tmpl)
-        else:
-            on_u = schema_anchor(
-                hash_semi_join(surv, dead, on=["u"], anti=True)
-                .map_batches(_swap, batch_format="pandas"), uv_tmpl)
-            surv = schema_anchor(
-                spill_point(
-                    hash_semi_join(on_u, dead, on=["u"], anti=True)
-                    .map_batches(_swap, batch_format="pandas"),
-                    f"kcore_e{rnd + 1}"),
-                uv_tmpl)
+        surv = spill_point(
+            attach_or_filter(surv, dead, "u", {"u": {}, "v": {}}, "anti"),
+            f"kcore_e{rnd + 1}")
     else:
         if n_dead > 0:
             # peel fixpoint not reached: surviving "core" still contains
@@ -2304,11 +2156,9 @@ def scc(
 
     Returns ``(node, scc)`` — scc is the smallest member id.
     """
-    from .relational import (BROADCAST_MAX_ROWS, grouped_agg, hash_join,
-                             schema_anchor, spill_point)
+    from .relational import (attach_or_filter, grouped_agg, schema_anchor,
+                             spill_point)
 
-    uv_tmpl = pd.DataFrame({"u": pd.Series(dtype="int64"),
-                            "v": pd.Series(dtype="int64")})
     ns_tmpl = pd.DataFrame({"node": pd.Series(dtype="int64"),
                             "scc": pd.Series(dtype="int64")})
     rest_tmpl = pd.DataFrame({"node": pd.Series(dtype="int64"),
@@ -2338,7 +2188,7 @@ def scc(
 
     done: list[rd.Dataset] = []
     unassigned = schema_anchor(nodes, rest_tmpl[["node"]])
-    cur = schema_anchor(base, uv_tmpl)
+    cur = base
     for rnd in range(max_outer):
         if int(unassigned.count()) == 0:
             break
@@ -2389,54 +2239,22 @@ def scc(
 
         # COLOR SPLIT — keep only edges whose endpoints share (lf, lb):
         # SCC members have identical minima in both directions, so a
-        # disagreeing edge is provably cross-color and is dropped.
-        if n_rest <= BROADCAST_MAX_ROWS:
-            # the residual color table is node-sized (24 B/row): put it
-            # ONCE and filter the edge stream map-side — zero shuffles
-            # (J3/J4 discipline; the guard keeps huge residuals on the
-            # two-shuffle hash-join path below)
-            import ray as _ray
-            rest_pd = rest.to_pandas()[["node", "lf", "lb"]]
-            ref = _ray.put(rest_pd)
-
-            def split(df: pd.DataFrame) -> pd.DataFrame:
-                r = _ray.get(ref)
-                m = (df.merge(r, left_on="u", right_on="node")
-                     .merge(r, left_on="v", right_on="node",
-                            suffixes=("_u", "_v")))
-                keep = ((m["lf_u"].to_numpy("int64")
-                         == m["lf_v"].to_numpy("int64"))
-                        & (m["lb_u"].to_numpy("int64")
-                           == m["lb_v"].to_numpy("int64")))
-                return m.loc[keep, ["u", "v"]].astype("int64")
-
-            cuv = cur.map_batches(split, batch_format="pandas")
-        else:
-            # NOTE: every hash_join input is schema_anchor'd as the
-            # OUTERMOST op — a map_batches AFTER an anchor re-loses the
-            # schema when all real blocks are empty (the anchor's empty
-            # block doesn't survive schema inference through a later map).
-            jl1 = schema_anchor(
-                cur.map_batches(lambda df: df.rename(columns={"u": "node"}),
-                                batch_format="pandas"),
-                pd.DataFrame({c: pd.Series(dtype="int64")
-                              for c in ("node", "v")}))
-            jl2 = schema_anchor(
-                hash_join(jl1, rest, on=["node"]).map_batches(
-                    lambda df: df.rename(columns={"node": "u", "lf": "lfu",
-                                                  "lb": "lbu", "v": "node"})
-                    [["u", "node", "lfu", "lbu"]],
-                    batch_format="pandas"),
-                pd.DataFrame({c: pd.Series(dtype="int64")
-                              for c in ("u", "node", "lfu", "lbu")}))
-            cuv = hash_join(jl2, rest, on=["node"]).map_batches(
-                lambda df: df.loc[(df["lfu"].to_numpy("int64")
-                                   == df["lf"].to_numpy("int64"))
-                                  & (df["lbu"].to_numpy("int64")
-                                     == df["lb"].to_numpy("int64"))]
-                .rename(columns={"node": "v"})[["u", "v"]].astype("int64"),
-                batch_format="pandas")
-        cur = schema_anchor(spill_point(cuv, f"scc_ce{rnd}"), uv_tmpl)
+        # disagreeing edge is provably cross-color and is dropped.  The
+        # residual color table is node-sized (24 B/row): one lookup
+        # attaches both endpoints' colors.
+        cuv = attach_or_filter(
+            cur, rest, "node", {"u": {"lf": "lf_u", "lb": "lb_u"},
+                                "v": {"lf": "lf_v", "lb": "lb_v"}},
+            "inner").map_batches(
+            lambda df: df.loc[(df["lf_u"].to_numpy("int64")
+                               == df["lf_v"].to_numpy("int64"))
+                              & (df["lb_u"].to_numpy("int64")
+                                 == df["lb_v"].to_numpy("int64")),
+                              ["u", "v"]].astype("int64"),
+            batch_format="pandas")
+        # a Parquet spill: the next round's lookup reads its schema free;
+        # an empty residual ends the loop at its count before any read
+        cur = spill_point(cuv, f"scc_ce{rnd}")
     else:
         if int(unassigned.count()) > 0:
             raise RuntimeError(

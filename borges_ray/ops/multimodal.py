@@ -342,8 +342,9 @@ class PpmFeatures:
             gray = img[gy][:, gx].sum(axis=2) // 3
             tot = int(gray.sum())
             bits = (gray.reshape(-1) * 64 > tot).astype(np.uint64)
+            # all 64 bits, stored as the int64 two's-complement view
             ah = int((bits << np.arange(64, dtype=np.uint64)).sum()
-                     % np.uint64(1 << 63))
+                     .view(np.int64))
             rows.append((int(did), w, h,
                          round(float(means[0]), 6),
                          round(float(means[1]), 6),

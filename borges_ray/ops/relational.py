@@ -15,11 +15,21 @@ Design rules (documented per SURVEY.md §4):
 - ``topk`` never globally sorts the input: each block keeps its own top-k
   (``k`` rows max per block), and only ``k × num_blocks`` rows reach the
   final sort — the reference's priority-frontier selection (SURVEY.md §2.7 O4).
-- ``broadcast_join`` is for dimension tables (the reference's
-  zipname↔journal in-memory dict, ``download_via_sftp.py:117-122``): the
-  small side is ``ray.put`` once and merged per batch; no shuffle.
-- ``hash_join`` delegates to Ray's native hash-shuffle ``Dataset.join``
-  for the large×large case (the DOI↔record equi-join, J1).
+- ``attach_or_filter`` is the one lookup operator for a small side with
+  a unique key (the reference's zipname↔journal in-memory dict,
+  ``download_via_sftp.py:117-122``; its skip-if-present membership
+  checks).  It makes the size decision once: within ``BROADCAST_MAX_ROWS``
+  rows and ``BROADCAST_MAX_BYTES`` the small side is ``ray.put`` once and
+  probed per batch (no shuffle); past either guard it is a ``hash_join``
+  or ``hash_semi_join`` per probe column.  The graph, dedup, ccnet and
+  query-layer lookups go through it.  Only three sites read the guard
+  constants themselves, because each picks an algorithm and fuses a
+  broadcast into a larger kernel rather than doing a lookup:
+  ``graph.triangle_counts``' node-range-guarded orient and its packed
+  closing-edge probe, and ``graph.adamic_adar``'s fused pair spawn.
+- ``hash_join`` is the bucketed cogroup join for the large×large case
+  (the DOI↔record equi-join, J1); ``native=True`` delegates to Ray's
+  hash-shuffle ``Dataset.join``.
 """
 
 from __future__ import annotations
@@ -436,9 +446,10 @@ def run_pair_indices(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Broadcast small-side guard.  Past these thresholds a "small" side is not
 # small: the broadcast itself is still one ray.put, but every map task pins
-# the whole frame in its heap, and at 100× the dimension that's multi-GB per
-# worker.  Over-limit calls auto-fall back to the distributed hash join
-# (one bucketed shuffle, nothing pinned per task).
+# the whole table in its heap, and at 100× the dimension that's multi-GB per
+# worker.  Over-limit lookups fall back to the distributed hash join (one
+# bucketed shuffle, nothing pinned per task).  Read at call time, so tests
+# move a site across the guard by patching these module attributes.
 BROADCAST_MAX_ROWS = 5_000_000
 BROADCAST_MAX_BYTES = 256 << 20
 
@@ -475,77 +486,109 @@ def schema_anchor(ds: rd.Dataset, template: pd.DataFrame) -> rd.Dataset:
     return rd.from_pandas(template.iloc[0:0]).union(ds)
 
 
-def _frame_bytes(df: pd.DataFrame) -> int:
-    """Estimated deep size of a frame: exact shallow usage plus object-column
-    payloads extrapolated from a bounded sample (deep=True over the whole
-    frame would itself scan every string)."""
-    shallow = int(df.memory_usage(index=False, deep=False).sum())
-    obj = df.select_dtypes(include="object")
-    if obj.empty or not len(df):
-        return shallow
-    s = obj.head(10_000)
-    payload = int(
-        (s.memory_usage(index=False, deep=True).sum()
-         - s.memory_usage(index=False, deep=False).sum()) / len(s) * len(df))
-    return shallow + payload
+def attach_or_filter(ds: rd.Dataset, small: rd.Dataset, key: str,
+                     probes: dict[str, dict[str, str]],
+                     how: str) -> rd.Dataset:
+    """Look up each probe column of ``ds`` in the lookup table ``small``
+    (``key`` unique) — the one size-guarded broadcast-or-shuffle decision.
 
+    ``probes`` maps a probe column of ``ds`` to ``{small column: output
+    column}``.  ``how="inner"`` attaches the mapped columns and keeps the
+    rows where EVERY probe hits; ``"semi"`` keeps the same rows and
+    attaches nothing; ``"anti"`` keeps the rows where NO probe hits (for
+    those two, map each probe to ``{}``).
 
-def _over_broadcast_limit(df: pd.DataFrame, max_rows: int, max_bytes: int) -> bool:
-    if len(df) > max_rows or _frame_bytes(df) > max_bytes:
+    The small side runs once: a Parquet read keeps its metadata-only
+    count, anything else is materialized before the count.  Within
+    ``BROADCAST_MAX_ROWS`` rows and ``BROADCAST_MAX_BYTES`` (the
+    materialized size estimate) it is pulled once and ``ray.put`` once
+    with a hash index on ``key``; each worker deserializes that payload —
+    index engine included — once through :func:`cached_get`, and every
+    batch probes it with ``Index.get_indexer`` (any key dtype; on a
+    1-core x86 host ~8× faster than ``np.searchsorted`` on int64 keys and
+    ~25× on strings).  A repeated key raises there.  Past either guard it is one
+    :func:`hash_join` (inner) or :func:`hash_semi_join` (semi/anti) per
+    probe column, with the small side's columns renamed to the probe's
+    names (a repeated key is not checked on this path: that would cost a
+    shuffle of the small side).
+
+    The output keeps a typed schema when either side is empty.  A map
+    over a ``ds`` with no rows emits no block at all, so unless ``ds``'s
+    metadata counts rows (a Parquet read or spill that is not empty) the
+    output gets a :func:`schema_anchor` built from ``ds.schema()`` — which
+    runs a lazy ``ds`` to its first block, so pass a spilled ``ds`` when
+    its plan holds a shuffle.  The anchor is not added otherwise: its
+    union stops Ray from fusing the probe with the maps around it
+    (~1 s on sf0.1's 150k-row ``join_broadcast``, 1-core x86 host)."""
+    if how not in ("inner", "semi", "anti"):
+        raise ValueError(f"attach_or_filter: how={how!r}")
+    anchor = not ds._meta_count()
+    if anchor and ds.schema() is None:
+        return ds  # no blocks and no schema: nothing to probe or type
+    if small._meta_count() is None:
+        small = small.materialize()
+    n_rows = small.count()
+    n_bytes = (small.size_bytes() or 0) if n_rows <= BROADCAST_MAX_ROWS else None
+    cols = list(dict.fromkeys(c for m in probes.values() for c in m))
+    sschema = small.schema()
+    # an empty small side may have no blocks and so no schema: untyped
+    sframe = (_empty_frame(sschema) if sschema is not None
+              else pd.DataFrame({c: pd.Series(dtype=object)
+                                 for c in [key, *cols]}))
+
+    def typed(out: rd.Dataset) -> rd.Dataset:
+        if not anchor:
+            return out
+        return schema_anchor(out, _empty_frame(ds.schema()).assign(**{
+            dst: sframe[src] for m in probes.values() for src, dst in m.items()}))
+
+    if n_bytes is None or n_bytes > BROADCAST_MAX_BYTES:
         import logging
         logging.getLogger(__name__).warning(
-            "broadcast small side is %d rows / ~%.0f MiB (limits %d rows / "
-            "%.0f MiB) — falling back to the distributed hash join",
-            len(df), _frame_bytes(df) / 2**20, max_rows, max_bytes / 2**20)
-        return True
-    return False
+            "lookup side is %d rows / ~%s MiB (limits %d rows / %.0f MiB) "
+            "— falling back to the distributed hash join", n_rows,
+            "?" if n_bytes is None else f"{n_bytes / 2**20:.0f}",
+            BROADCAST_MAX_ROWS, BROADCAST_MAX_BYTES / 2**20)
+        out = ds
+        for p, m in probes.items():
+            def rename(t: pa.Table, p=p, m=m) -> pa.Table:
+                return t.select([key, *m]).rename_columns([p, *m.values()])
+
+            side = small.map_batches(rename, batch_format="pyarrow")
+            out = (hash_join(out, side, on=[p]) if how == "inner"
+                   else hash_semi_join(out, side, on=[p], anti=how == "anti"))
+        return typed(out)
+
+    refs = small.to_arrow_refs()
+    tbl = (pa.concat_tables(ray.get(refs), promote_options="default") if refs
+           else pa.Table.from_pandas(sframe, preserve_index=False))
+    tbl = tbl.select([key, *cols])
+    index = pd.Index(tbl.column(key).to_numpy())
+    if not index.is_unique:
+        raise ValueError(f"attach_or_filter: lookup key {key!r} repeats")
+    ref = ray.put((index, tbl))
+
+    def probe(batch: pa.Table) -> pa.Table:
+        idx, side = cached_get(ref)
+        hits = [idx.get_indexer(batch.column(p).to_numpy()) for p in probes]
+        keep = (~np.logical_or.reduce([q >= 0 for q in hits]) if how == "anti"
+                else np.logical_and.reduce([q >= 0 for q in hits]))
+        out = batch.filter(pa.array(keep))
+        for q, m in zip(hits, probes.values()):
+            for src, dst in m.items():
+                out = out.append_column(dst, side.column(src).take(q[keep]))
+        return out
+
+    return typed(ds.map_batches(probe, batch_format="pyarrow"))
 
 
-def broadcast_join(
-    ds: rd.Dataset,
-    small: pd.DataFrame,
-    on: list[str],
-    how: str = "inner",
-    *,
-    suffix: str = "_r",
-    max_rows: int = BROADCAST_MAX_ROWS,
-    max_bytes: int = BROADCAST_MAX_BYTES,
-) -> rd.Dataset:
-    """Broadcast hash join for a small side (dimension table).  The small
-    side is ``ray.put`` ONCE; every task reads it zero-copy from the object
-    store — never re-shipped per batch (J3/J4 semantics).  A side past the
-    row/byte guard falls back to :func:`hash_join` (requires non-key columns
-    not to overlap, the usual dimension-join shape)."""
-    if _over_broadcast_limit(small, max_rows, max_bytes):
-        return hash_join(ds, rd.from_pandas(small), on, join_type=how)
-    ref = ray.put(small)
-
-    def join(df: pd.DataFrame) -> pd.DataFrame:
-        return df.merge(ray.get(ref), on=on, how=how, suffixes=("", suffix))
-
-    return ds.map_batches(join, batch_format="pandas")
-
-
-def broadcast_semi_join(ds: rd.Dataset, keys: pd.DataFrame, on: list[str], *,
-                        anti: bool = False,
-                        max_rows: int = BROADCAST_MAX_ROWS,
-                        max_bytes: int = BROADCAST_MAX_BYTES) -> rd.Dataset:
-    """Semi/anti join against a broadcast key set (J2: the reference's
-    skip-if-present / insert-if-absent membership checks).  A key set past
-    the row/byte guard falls back to :func:`hash_semi_join`."""
-    if _over_broadcast_limit(keys, max_rows, max_bytes):
-        return hash_semi_join(ds, rd.from_pandas(keys[on].drop_duplicates()),
-                              on, anti=anti)
-    ref = ray.put(keys[on].drop_duplicates())
-
-    def semi(df: pd.DataFrame) -> pd.DataFrame:
-        small = ray.get(ref)
-        member = df.merge(small.assign(__hit=1), on=on, how="left")["__hit"].notna()
-        member.index = df.index
-        return df[~member] if anti else df[member]
-
-    return ds.map_batches(semi, batch_format="pandas")
-
+def _empty_frame(schema) -> pd.DataFrame:
+    """Zero-row frame typed like a Ray/Arrow schema (non-Arrow types such
+    as pandas-block strings come back as ``object``)."""
+    return pd.DataFrame({
+        n: pd.Series(dtype=t.to_pandas_dtype() if isinstance(t, pa.DataType)
+                     else object)
+        for n, t in zip(schema.names, schema.types)})
 
 
 def _pd_dtype(arrow_type) -> str:
@@ -600,8 +643,8 @@ def hash_semi_join(
     sees either table, and the shuffle moves only key columns for the build
     side (J2 at 100 TB: keys-only exchange).
 
-    For a SMALL build side prefer :func:`broadcast_semi_join` (no shuffle at
-    all).
+    For a SMALL build side use :func:`attach_or_filter` (no shuffle at all
+    under the broadcast guard).
 
     Scale note: the tagged two-side union below meets the bucketed sort in
     one plan, so Ray runs it preserve-order and the UnionOperator buffers

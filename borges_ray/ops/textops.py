@@ -490,6 +490,8 @@ def normalized_dedup(ds: rd.Dataset, id_col: str = "doc_id",
 #: Gopher's "required words" bank (Rae et al. 2021 §A1.1: a document must
 #: contain at least min_hits of these to survive the rule bundle).
 GOPHER_REQUIRED = ("the", "be", "to", "of", "and", "that", "have", "with")
+_GOPHER_REQUIRED_SET = frozenset(GOPHER_REQUIRED)
+_ASCII_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
 class GopherRules:
@@ -508,9 +510,9 @@ class GopherRules:
     - ``ok_req``:    at least ``min_req_hits`` distinct GOPHER_REQUIRED
                      words occur (whitespace-delimited, case-folded)
 
-    ``keep`` is the conjunction.  All counting is vectorized (pandas
-    ``.str.count`` with compiled patterns built once per actor); the text
-    column is dropped on output so only (id, counters, flags) flow on.
+    ``keep`` is the conjunction.  Every count comes from one whitespace
+    split per text (words are the ``\\S+`` runs); the text column is
+    dropped on output so only (id, counters, flags) flow on.
     """
 
     def __init__(self, id_col: str = "doc_id", text_col: str = "text", *,
@@ -521,24 +523,19 @@ class GopherRules:
         self.min_words, self.max_words = min_words, max_words
         self.mwl_lo, self.mwl_hi = mwl_lo, mwl_hi
         self.min_req_hits = min_req_hits
-        self.word_re = re.compile(r"\S+")
-        self.alpha_word_re = re.compile(r"\S*[A-Za-z]\S*")
-        self.nonspace_re = re.compile(r"\S")
-        self.ellipsis_re = re.compile(r"\.\.\.")
-        # one presence regex per required word: whitespace-delimited token
-        self.req_res = [re.compile(r"(?<!\S)" + re.escape(w) + r"(?!\S)")
-                        for w in GOPHER_REQUIRED]
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        texts = df[self.text_col].fillna("")
-        n_words = texts.str.count(self.word_re.pattern).astype("int64")
-        n_alpha = texts.str.count(self.alpha_word_re.pattern).astype("int64")
-        word_chars = texts.str.count(self.nonspace_re.pattern).astype("int64")
-        n_sym = (texts.str.count(r"#") + texts.str.count(self.ellipsis_re.pattern)).astype("int64")
-        low = texts.str.lower()
-        hits = pd.Series(np.zeros(len(df), dtype=np.int64), index=df.index)
-        for rx in self.req_res:
-            hits += low.str.contains(rx.pattern, regex=True).astype("int64")
+        texts = df[self.text_col].fillna("").tolist()
+        n = len(texts)
+        n_words, word_chars, n_alpha, n_sym, hits = (
+            np.empty(n, dtype=np.int64) for _ in range(5))
+        for i, t in enumerate(texts):
+            toks = t.split()  # the \S+ runs: same whitespace class as re's \s
+            n_words[i] = len(toks)
+            word_chars[i] = sum(map(len, toks))
+            n_alpha[i] = sum(not _ASCII_LETTERS.isdisjoint(w) for w in toks)
+            n_sym[i] = t.count("#") + t.count("...")
+            hits[i] = len(_GOPHER_REQUIRED_SET.intersection(map(str.lower, toks)))
         (lo_n, lo_d), (hi_n, hi_d) = self.mwl_lo, self.mwl_hi
         ok_words = (n_words >= self.min_words) & (n_words <= self.max_words)
         ok_mwl = (lo_d * word_chars >= lo_n * n_words) & (hi_d * word_chars <= hi_n * n_words)

@@ -23,3 +23,12 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def shuffle_guard(monkeypatch):
+    """Force every size-guarded lookup past its row guard (the sites read
+    ``BROADCAST_MAX_ROWS`` at call time), so it takes the shuffle path."""
+    from borges_ray.ops import relational
+
+    monkeypatch.setattr(relational, "BROADCAST_MAX_ROWS", 0)

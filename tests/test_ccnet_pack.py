@@ -876,3 +876,8 @@ def test_site_chrome_clean(ray_session):
     assert out.loc[9, "text"] == "body B9"
     # the all-chrome doc survives with empty text
     assert out.loc[99, "text"] == "" and out.loc[99, "n_kept"] == 0
+
+
+def test_exact_substr_rewrite_planted_shuffle(ray_session, shuffle_guard):
+    """The planted rewrite with the loser lookup on its shuffle path."""
+    test_exact_substr_rewrite_planted(ray_session)

@@ -300,6 +300,50 @@ def test_featurize_kernels_exact_edge_batch():
     _check_kernels_exact(_EDGE_TEXTS[::-1] + [""], num_perm=16)
 
 
+def _check_gopher_exact(texts: list[str]) -> None:
+    """``GopherRules`` against per-text references of its original regex
+    formulas (``\\S+``, ``\\S``, ``\\S*[A-Za-z]\\S*`` counts and one
+    whitespace-delimited presence regex per required word)."""
+    import re
+
+    from borges_ray.ops.textops import GOPHER_REQUIRED, GopherRules
+
+    # small thresholds so every flag takes both values across the batch
+    rules = GopherRules(min_words=2, max_words=40, min_req_hits=1)
+    got = rules(pd.DataFrame({"doc_id": range(len(texts) + 1),
+                              "text": texts + [None]}))
+    want = []
+    for t in texts + [""]:
+        low = t.lower()
+        n_words = len(re.findall(r"\S+", t))
+        wc = len(re.findall(r"\S", t))
+        n_alpha = len(re.findall(r"\S*[A-Za-z]\S*", t))
+        n_sym = len(re.findall("#", t)) + len(re.findall(r"\.\.\.", t))
+        hits = sum(bool(re.search(r"(?<!\S)" + re.escape(w) + r"(?!\S)", low))
+                   for w in GOPHER_REQUIRED)
+        flags = (2 <= n_words <= 40, 3 * n_words <= wc <= 10 * n_words,
+                 10 * n_sym < n_words, 5 * n_alpha >= 4 * n_words, hits >= 1)
+        want.append((n_words, wc, hits, *flags, all(flags)))
+    cols = ["n_words", "word_chars", "req_hits", "ok_words", "ok_mwl",
+            "ok_sym", "ok_alpha", "ok_req", "keep"]
+    assert list(got[cols].itertuples(index=False, name=None)) == want
+
+
+def test_gopher_rules_exact_every_codepoint():
+    # each code point also as a one-token text, so single-token flags and
+    # case folding of every character into the required-word bank show
+    _check_gopher_exact(_all_codepoint_texts()
+                        + [chr(c) + "he" for c in range(0x10000)
+                           if not 0xD800 <= c <= 0xDFFF])
+
+
+def test_gopher_rules_exact_edge_batch():
+    extra = ["the # ... .... #### and", "THE Be tO... with-that have\u3000of",
+             "\u0130 \u212a \u0131 the\x1cand\x85of", "a b c d e f g h i j " * 5]
+    _check_gopher_exact(_EDGE_TEXTS + extra)
+    _check_gopher_exact(_EDGE_TEXTS[::-1] + extra[::-1])
+
+
 def test_page_featurizer_exact():
     """PageFeaturizer columns == the per-text references on the perfbench
     page shape, with one over-cap row degraded to an error row."""
@@ -635,35 +679,125 @@ def test_cosine_tiling_invariant(vecs):
     assert key(a) == key(b) and len(a) > 0
 
 
-def test_broadcast_guard_falls_back_to_hash_join(ray_session):
+def test_broadcast_guard_falls_back_to_hash_join(ray_session, monkeypatch):
     """A 'small' side past the row/byte guard silently becomes a distributed
     hash join (same rows); under the guard it broadcasts as before."""
-    from borges_ray.ops.relational import broadcast_join, broadcast_semi_join
+    from borges_ray.ops import relational
+    from borges_ray.ops.relational import attach_or_filter
 
     fact = pd.DataFrame({"k": [1, 2, 3, 4, 2], "x": [10, 20, 30, 40, 21]})
     dim = pd.DataFrame({"k": [1, 2, 3], "name": ["a", "b", "c"]})
     ds = rd.from_pandas(fact)
 
+    def join() -> pd.DataFrame:
+        return (attach_or_filter(ds, rd.from_pandas(dim), "k",
+                                 {"k": {"name": "name"}}, "inner")
+                .to_pandas().sort_values(["k", "x"]).reset_index(drop=True))
+
     want = (fact.merge(dim, on="k", how="inner")
             .sort_values(["k", "x"]).reset_index(drop=True))
-    got_bc = (broadcast_join(ds, dim, on=["k"]).to_pandas()
-              .sort_values(["k", "x"]).reset_index(drop=True))
-    got_fb = (broadcast_join(ds, dim, on=["k"], max_rows=2).to_pandas()
-              .sort_values(["k", "x"]).reset_index(drop=True)[want.columns.tolist()])
+    got_bc = join()
+    with monkeypatch.context() as m:
+        m.setattr(relational, "BROADCAST_MAX_ROWS", 2)
+        got_fb = join()[want.columns.tolist()]
     pd.testing.assert_frame_equal(got_bc, want)
     pd.testing.assert_frame_equal(got_fb.astype(want.dtypes), want)
     # byte guard trips too
-    got_bytes = (broadcast_join(ds, dim, on=["k"], max_bytes=1).to_pandas()
-                 .sort_values(["k", "x"]).reset_index(drop=True)[want.columns.tolist()])
+    with monkeypatch.context() as m:
+        m.setattr(relational, "BROADCAST_MAX_BYTES", 1)
+        got_bytes = join()[want.columns.tolist()]
     pd.testing.assert_frame_equal(got_bytes.astype(want.dtypes), want)
 
     keys = dim[["k"]]
     want_anti = fact[~fact.k.isin(keys.k)].reset_index(drop=True)
-    got_anti = (broadcast_semi_join(ds, keys, ["k"], anti=True, max_rows=1)
-                .to_pandas().reset_index(drop=True))
+    with monkeypatch.context() as m:
+        m.setattr(relational, "BROADCAST_MAX_ROWS", 1)
+        got_anti = (attach_or_filter(ds, rd.from_pandas(keys), "k", {"k": {}},
+                                     "anti")
+                    .to_pandas().reset_index(drop=True))
     pd.testing.assert_frame_equal(
         got_anti.sort_values("k").reset_index(drop=True).astype(want_anti.dtypes),
         want_anti.sort_values("k").reset_index(drop=True))
+
+
+@pytest.fixture(params=["broadcast", "shuffle"])
+def lookup_guard(request):
+    """Run a lookup test on each side of the broadcast row guard."""
+    if request.param == "shuffle":
+        request.getfixturevalue("shuffle_guard")
+    return request.param
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def test_attach_or_filter_string_key(ray_session, lookup_guard):
+    """String keys (the host-table shape) attach like integer keys."""
+    from borges_ray.ops.relational import attach_or_filter
+
+    pairs = pd.DataFrame({"a": ["h1", "h2", "h3", "h9"],
+                          "b": ["h2", "h3", "h1", "h1"]})
+    sizes = pd.DataFrame({"host": ["h1", "h2", "h3"], "n": [5, 7, 11]})
+    got = attach_or_filter(rd.from_pandas(pairs), rd.from_pandas(sizes),
+                           "host", {"a": {"n": "n_a"}, "b": {"n": "n_b"}},
+                           "inner").to_pandas()
+    want = (pairs.merge(sizes.rename(columns={"host": "a", "n": "n_a"}))
+            .merge(sizes.rename(columns={"host": "b", "n": "n_b"})))
+    pd.testing.assert_frame_equal(_sorted(got[want.columns.tolist()]),
+                                  _sorted(want), check_dtype=False)
+
+
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_attach_or_filter_two_probes(ray_session, lookup_guard, how):
+    """Two probe columns: inner/semi keep rows where BOTH hit (inner also
+    attaches both sides' columns); anti keeps rows where NEITHER hits."""
+    from borges_ray.ops.relational import attach_or_filter
+
+    edges = pd.DataFrame({"u": [1, 1, 2, 3, 4, 5], "v": [2, 3, 3, 4, 5, 6]})
+    nodes = pd.DataFrame({"node": [1, 2, 3, 6], "c": [10, 20, 30, 60]})
+    probes = ({"u": {"c": "c_u"}, "v": {"c": "c_v"}} if how == "inner"
+              else {"u": {}, "v": {}})
+    got = attach_or_filter(rd.from_pandas(edges), rd.from_pandas(nodes),
+                           "node", probes, how).to_pandas()
+    hu, hv = edges.u.isin(nodes.node), edges.v.isin(nodes.node)
+    want = edges[~hu & ~hv] if how == "anti" else edges[hu & hv]
+    if how == "inner":
+        lut = dict(zip(nodes.node, nodes.c))
+        want = want.assign(c_u=want.u.map(lut), c_v=want.v.map(lut))
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want),
+                                  check_dtype=False)
+
+
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_attach_or_filter_empty_sides(ray_session, lookup_guard, how):
+    """An empty small side or an empty ``ds`` still yields a typed schema."""
+    from borges_ray.ops.relational import attach_or_filter
+
+    fact = pd.DataFrame({"k": [1, 2], "x": [10, 20]})
+    dim = pd.DataFrame({"k": [1], "name": ["a"]})
+    probes = {"k": {"name": "name"}} if how == "inner" else {"k": {}}
+    cols = ["k", "x", "name"] if how == "inner" else ["k", "x"]
+    for ds, small in ((fact.iloc[0:0], dim), (fact, dim.iloc[0:0])):
+        out = attach_or_filter(rd.from_pandas(ds), rd.from_pandas(small),
+                               "k", probes, how)
+        schema = out.schema()
+        assert schema is not None and schema.names == cols
+        assert [str(t) for t in schema.types[:2]] == ["int64", "int64"]
+        assert out.count() == (2 if how == "anti" and len(ds) else 0)
+
+
+def test_attach_or_filter_repeated_key_raises(ray_session):
+    """The lookup side is a table keyed by ``key``: a repeat is an error,
+    not a silent row multiplication."""
+    from borges_ray.ops.relational import attach_or_filter
+
+    fact = pd.DataFrame({"k": [1, 2], "x": [10, 20]})
+    dim = pd.DataFrame({"k": [1, 1], "name": ["a", "b"]})
+    with pytest.raises(ValueError, match="repeats"):
+        attach_or_filter(rd.from_pandas(fact), rd.from_pandas(dim), "k",
+                         {"k": {"name": "name"}}, "inner")
 
 
 def test_salted_hash_join_skew(ray_session):
@@ -3276,6 +3410,21 @@ def test_ppm_wav_codecs(ray_session):
     assert out["zero_crossings"][0] == int((nn[1:] != nn[:-1]).sum())
 
 
+def test_ppm_ahash_keeps_bit_63():
+    """The aHash keeps all 64 bits: a gray plane whose only bright cell is
+    the last of the 8x8 grid sets bit 63, stored as the int64 view."""
+    from borges_ray.ops.multimodal import PpmFeatures
+
+    px = np.zeros((8, 8, 3), dtype=np.uint8)
+    px[7, 7] = 255
+    bright_last = b"P6\n8 8\n255\n" + px.tobytes()
+    px[0, 0] = 255
+    both_ends = b"P6\n8 8\n255\n" + px.tobytes()
+    out = PpmFeatures()(pd.DataFrame({"doc_id": [1, 2],
+                                      "payload": [bright_last, both_ends]}))
+    assert out["ahash"].tolist() == [-(1 << 63), 1 - (1 << 63)]
+
+
 def test_ahash_neardup_exact_recall(ray_session):
     """Multi-index Hamming banding must equal brute-force popcount pairs
     for max_dist < bands (pigeonhole recall)."""
@@ -3348,3 +3497,39 @@ def test_y4m_codec(ray_session):
     want = sum((5 * 31 + 0 * 59 + x * 7 + y * 13) % 256
                for x in range(16) for y in range(12)) / 192.0
     assert abs(out["luma_mean"][0] - round(want, 6)) < 1e-9
+
+
+# Every size-guarded lookup site on the shuffle side of its guard: the
+# tests these call run the broadcast side at the default guard.
+
+
+def test_clustering_coefficient_known_graph_shuffle(ray_session, shuffle_guard):
+    test_clustering_coefficient_known_graph(ray_session)
+
+
+def test_mirror_hosts_jaccard_shuffle(ray_session, shuffle_guard):
+    test_mirror_hosts_jaccard(ray_session)
+
+
+def test_degree_assortativity_star_shuffle(ray_session, shuffle_guard):
+    test_degree_assortativity_star(ray_session)
+
+
+def test_degree_assortativity_regular_shuffle(ray_session, shuffle_guard):
+    test_degree_assortativity_regular(ray_session)
+
+
+def test_cocitation_known_graph_shuffle(ray_session, shuffle_guard):
+    test_cocitation_known_graph(ray_session)
+
+
+def test_kcore_vs_brute_shuffle(ray_session, shuffle_guard):
+    test_kcore_vs_brute(ray_session)
+
+
+def test_scc_distributed_path_shuffle(ray_session, shuffle_guard):
+    test_scc_distributed_path(ray_session)
+
+
+def test_editdist_pairs_vs_brute_shuffle(ray_session, shuffle_guard):
+    test_editdist_pairs_vs_brute(ray_session)
