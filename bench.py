@@ -9,7 +9,7 @@ sized to the sf tier (sf × 1M pages, Common-Crawl-ish page bodies):
    100 TB design point, so "fetched+parsed pages/sec" and the two-
    parallelism scaling criterion are measured on it.
 2. **BSP crawl** (``pipelines.crawl``): the full frontier engine —
-   politeness, seen-index, checkpoints — reported as frontier URLs/sec.
+   politeness, URL-seen filters, checkpoints — reported as frontier URLs/sec.
    Its per-round coordination (~seconds) amortizes at real round sizes; see
    BASELINE.md.
 
@@ -130,8 +130,7 @@ def bench_crawl(pages_root: str, n_pages: int, num_buckets: int) -> dict:
         max_rounds=6,
         num_partitions=32,
         num_buckets=num_buckets,
-        num_seen_shards=8,
-        seen_capacity=max(1_000_000, 4 * n_pages),
+        seen_capacity=max(125_000, n_pages // 8),  # per partition: 4 × n_pages / 32
     )
     ckpt_dir = os.path.join(BENCH_ROOT, f"ckpt_{os.getpid()}")
     seeds = synth_seeds(SEED, n_pages)

@@ -1659,9 +1659,15 @@ def editdist_pairs(
     max_bucket: int | None = None,
 ) -> pd.DataFrame:
     """Thin pandas wrapper over :func:`editdist_pairs_ds` (small result
-    collection for oracle queries)."""
-    out = editdist_pairs_ds(ds, id_col, str_col, max_dist=max_dist, q=q,
-                            max_bucket=max_bucket).to_pandas()
+    collection for oracle queries).  No pair within ``max_dist`` gives a
+    typed empty frame: ``to_pandas()`` of all-empty blocks has no columns."""
+    res = editdist_pairs_ds(ds, id_col, str_col, max_dist=max_dist, q=q,
+                            max_bucket=max_bucket).materialize()
+    out = res.to_pandas()
+    if out.empty:
+        schema = res.schema()
+        out = pd.DataFrame({n: pd.Series(dtype=t.to_pandas_dtype())
+                            for n, t in zip(schema.names, schema.types)})
     return out.sort_values(["id_a", "id_b"], ignore_index=True)
 
 

@@ -13,8 +13,11 @@ One crawl round (mirrors the oracle spec in ``reference_crawl.py`` exactly):
 
 Checkpoint layout (see :mod:`borges_ray.state.checkpoint`): ``round=r`` is
 the state *entering* round r — resume replays at most one uncommitted round,
-idempotently (the seen shards rebuild from committed deltas; crawled rows are
-keyed by (url), each url fetched exactly once).
+idempotently (each partition's seen filter loads from round r's file and
+the gate reads only committed rounds; crawled rows are keyed by (url), each
+url fetched exactly once).  The crawl starts no Ray actor on its default
+fetch path: URL-seen membership lives in the per-partition winner task
+(:mod:`borges_ray.state.seenfilter`).
 
 Scale notes: the frontier is only ever *scanned* (combiner + deferral
 passes), never shuffled in full — the host-shuffle moves ≤ budget×blocks
@@ -68,11 +71,11 @@ import ray.data as rd
 from .. import schemas
 from ..canonical import canonicalize, host_of, partition_of
 from ..stages.fetch import fetch_selected
-from ..stages.links import WINNER_ASC, WINNER_SORT, gate_candidates, link_candidates
+from ..stages.links import gate_links
 from ..stages.parse import parse_fetched
 from ..stages.politeness import defer_frontier, delays_from_robots, select_frontier
 from ..state import checkpoint as ckpt
-from ..state.urlseen import create_seen_index
+from ..state import seenfilter
 
 
 @dataclass
@@ -83,8 +86,8 @@ class EngineConfig:
     max_depth: int | None = None
     num_partitions: int = 16
     num_buckets: int = 16       # pages-corpus hash buckets
-    num_seen_shards: int = 4
-    seen_capacity: int = 1_000_000
+    num_seen_shards: int = 4    # not read by the engine (no URL-seen actors)
+    seen_capacity: int = 1_000_000  # keys per partition's seen filter
     flaky: bool = False          # T6 deterministic transient-failure + retry model
     night_shift: bool = False    # F9 time-of-day host gating
     api_keys: tuple = ()         # T2/S13: non-empty → session-actor fetch path
@@ -112,8 +115,8 @@ def _count_rows(path: str) -> int:
     return pads.dataset(path, format="parquet").count_rows()
 
 
-def _scan_blocks(path_or_files, num_partitions: int) -> int:
-    """Metadata-driven block count for frontier/seen scans: bytes-scaled
+def _scan_blocks(path: str, num_partitions: int) -> int:
+    """Metadata-driven block count for frontier scans: bytes-scaled
     (grows with the table — at a 10^10-row frontier this is what sets real
     parallelism) with a rows floor, capped at ``num_partitions`` so a small
     round never shreds a ~1 MB frontier into 32 micro-blocks whose per-task
@@ -121,15 +124,28 @@ def _scan_blocks(path_or_files, num_partitions: int) -> int:
     ``relational._auto_num_blocks`` fixes for queries)."""
     from ..ops.relational import _auto_num_blocks
 
-    if isinstance(path_or_files, str):
-        files = [os.path.join(dp, f) for dp, _dn, fs in os.walk(path_or_files)
-                 for f in fs if f.endswith(".parquet")]
-    else:
-        files = list(path_or_files)
+    files = [os.path.join(dp, f) for dp, _dn, fs in os.walk(path)
+             for f in fs if f.endswith(".parquet")]
     if not files:
         return 1
     return _auto_num_blocks(files, target_bytes=4 << 20, rows_per_block=5000,
                             max_row_blocks=num_partitions)
+
+
+def _layout(cfg: EngineConfig) -> dict:
+    """The settings a checkpoint's layout depends on (recorded in its
+    ``_MANIFEST``): partitions route seen filters and host state, buckets
+    the corpus probe, and the clock settings the persisted politeness
+    clocks.  ``max_rounds``, ``fetcher`` and the middlewares stay free."""
+    return {k: getattr(cfg, k) for k in (
+        "num_partitions", "num_buckets", "seen_filter", "seen_capacity",
+        "round_ms", "default_delay_ms", "max_depth")}
+
+
+def _seen_delta_files(ckpt_dir: str, rnd: int) -> list[str]:
+    d = os.path.join(ckpt.round_dir(ckpt_dir, rnd), "seen_delta")
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")]
 
 
 def _write_ds_into(final_dir: str, ds_or_table, tag: str) -> None:
@@ -268,7 +284,8 @@ def _make_split_emit(rnd: int, frontier_dir: str, seen_dir: str,
             _atomic_write_table(frontier_dir, f"new-{digest}.parquet", ft)
         st = t.append_column(
             "seen_round", pa.array([rnd + 1] * t.num_rows, pa.int32()))
-        st = st.select(["url", "partition", "seen_round"]).cast(schemas.SEEN)
+        st = st.select(["url", "partition", "seen_round"]).cast(schemas.SEEN).sort_by(
+            [("partition", "ascending"), ("url", "ascending")])
         _atomic_write_table(seen_dir, f"links-{digest}.parquet", st)
         b = df[df["blocked"]]
         if len(b):
@@ -327,7 +344,14 @@ def bootstrap(seeds: pa.Table, robots_df: pd.DataFrame, cfg: EngineConfig,
     )
     _write_ds_into(os.path.join(rd0, "frontier"), frontier_t, "seed")
     seen_t = pa.Table.from_pylist(seen_rows).cast(schemas.SEEN) if seen_rows else schemas.SEEN.empty_table()
-    _write_ds_into(os.path.join(rd0, "seen_delta"), seen_t, "seed")
+    _write_ds_into(os.path.join(rd0, "seen_delta"),
+                   seen_t.sort_by([("partition", "ascending"), ("url", "ascending")]),
+                   "seed")
+    by_part: dict[int, list[str]] = {}
+    for row in seen_rows:
+        by_part.setdefault(row["partition"], []).append(row["url"])
+    seenfilter.seed_filters(os.path.join(rd0, "seen_filter"), cfg.seen_filter,
+                            cfg.seen_capacity, cfg.num_partitions, by_part)
     if crawled:
         from ..stages.parse import PARSED_SCHEMA
 
@@ -335,6 +359,7 @@ def bootstrap(seeds: pa.Table, robots_df: pd.DataFrame, cfg: EngineConfig,
         _write_ds_into(os.path.join(rd0, "crawled"), ct, "blocked")
     # empty hive-partitioned host-state (hb=<b>/ dirs appear as hosts do)
     os.makedirs(os.path.join(rd0, "host_state"), exist_ok=True)
+    ckpt.write_manifest(ckpt_dir, _layout(cfg))
     ckpt.commit_round(ckpt_dir, 0)
 
 
@@ -434,37 +459,16 @@ def run_crawl(
     if last < 0:
         bootstrap(seeds, robots_df, cfg, ckpt_dir)
         last = 0
+    else:
+        ckpt.check_manifest(ckpt_dir, _layout(cfg))
 
-    # --- rebuild run-wide state from committed checkpoints ----------------
-    # Distributed: the seen-delta Parquet is read as a Dataset and each
-    # WORKER task routes its batch of urls to the shard actors
-    # (state.urlseen.seen_load) — the driver never materializes the seen
-    # set (at 10^10 urls the old to_pylist() rebuild was the last
-    # whole-corpus driver read in the crawl).  Shard actors serialize
-    # concurrent loaders and load_keys is idempotent, so overlapping
-    # batches from parallel tasks are safe.
-    shards = create_seen_index(cfg.num_seen_shards, cfg.seen_capacity,
-                               filter_kind=cfg.seen_filter)
+    # URL-seen state is the committed checkpoint itself: each round's
+    # partition tasks load that round's seen_filter files and confirm filter
+    # positives against the committed seen_delta files, whose list is kept
+    # here (resolved once, then extended as rounds commit) — no actor, no
+    # re-hash of history on resume.
     seen_files = [
-        os.path.join(p, f)
-        for r in range(last + 1)
-        if os.path.isdir(p := os.path.join(ckpt.round_dir(ckpt_dir, r), "seen_delta"))
-        for f in sorted(os.listdir(p)) if f.endswith(".parquet")
-    ]
-    if seen_files:
-        from ..state.urlseen import seen_load
-
-        def _load_seen(df: pd.DataFrame, shards=shards) -> pd.DataFrame:
-            return pd.DataFrame({"n": [seen_load(shards, df["url"].tolist())]})
-
-        loaded = (
-            rd.read_parquet(seen_files, columns=["url"],
-                            override_num_blocks=_scan_blocks(
-                                seen_files, cfg.num_partitions))
-            .map_batches(_load_seen, batch_format="pandas")
-            .sum("n")
-        )
-        del loaded
+        f for r in range(last + 1) for f in _seen_delta_files(ckpt_dir, r)]
 
     delays = delays_from_robots(robots_df, cfg.default_delay_ms)
     delays_ref = ray.put(delays)
@@ -560,24 +564,32 @@ def run_crawl(
                            cfg.num_partitions, delays, r, cfg.round_ms)
         return parts.groupby("partition")["n"].sum()
 
-    def _gate_split(parsed: rd.Dataset, next_dir: str, r: int) -> pd.DataFrame:
-        # link candidates → winner dedup → seen + robots gate → FUSED split:
-        # ONE execution over the gated rows in which each task writes its
-        # own block's frontier/seen/blocked parquet files (content-digest
+    def _gate_split(parsed: rd.Dataset, this_dir: str, next_dir: str,
+                    r: int) -> pd.DataFrame:
+        # link candidates → per-partition winner + seen + robots gate → FUSED
+        # split: ONE execution over the gated rows in which each task writes
+        # its own block's frontier/seen/blocked parquet files (content-digest
         # names → idempotent under task retry) and returns only
         # (partition, blocked, n) tally rows; the gated rows are never pinned.
+        # Partition tasks write next round's seen filters; partitions with
+        # no candidates carry theirs forward.
+        seen = seenfilter.SeenFilters(
+            cfg.seen_filter, cfg.seen_capacity,
+            os.path.join(this_dir, "seen_filter"),
+            os.path.join(next_dir, "seen_filter"), tuple(seen_files))
+        os.makedirs(seen.dst, exist_ok=True)
         tally = pd.DataFrame()
         if parsed.count():
-            cands = link_candidates(
+            gated = gate_links(
                 parsed.select_columns(["url", "status", "priority", "depth", "links"]),
-                r, cfg.num_partitions, cfg.max_depth)
-            gated = gate_candidates(cands, shards, robots_ref, r + 1)
+                seen, robots_ref, r + 1, cfg.num_partitions, cfg.max_depth)
             dirs = [os.path.join(next_dir, d)
                     for d in ("frontier", "seen_delta", "crawled")]
             for d in dirs:
                 os.makedirs(d, exist_ok=True)
             tally = gated.map_batches(_make_split_emit(r, *dirs),
                                       batch_format="pandas").to_pandas()
+        seenfilter.carry_forward(seen.src, seen.dst, cfg.num_partitions)
         if not len(tally):
             _write_ds_into(os.path.join(next_dir, "seen_delta"),
                            schemas.SEEN.empty_table(), "links")
@@ -641,7 +653,7 @@ def run_crawl(
             wc = pool.submit(_timed, times, "write_crawled", _write_crawled,
                              parsed, os.path.join(next_dir, "crawled"))
             split_tally = _timed(times, "gate_split", _gate_split, parsed,
-                                 next_dir, rnd)
+                                 this_dir, next_dir, rnd)
 
             defer.result()
             sel_tally = hs.result()
@@ -656,6 +668,7 @@ def run_crawl(
                 _round_metrics(rnd, cfg.num_partitions, frontier_size,
                                sel_tally, fetch_tally, split_tally), "m"))
             _timed(times, "commit", ckpt.commit_round, ckpt_dir, rnd + 1)
+            seen_files += _seen_delta_files(ckpt_dir, rnd + 1)
             times["total"] = round(time.perf_counter() - t_round, 4)
             rnd += 1
     finally:
@@ -745,8 +758,7 @@ def _main() -> None:
         pages = synth_pages(args.seed, args.n_pages)
         write_pages_bucketed(pages.select(["url", "html"]), pages_root, 8)
     cfg = EngineConfig(max_rounds=args.rounds, num_partitions=8, num_buckets=8,
-                      num_seen_shards=4, flaky=args.flaky,
-                      night_shift=args.night_shift)
+                      flaky=args.flaky, night_shift=args.night_shift)
     summary = run_crawl(pages_root, synth_seeds(args.seed, args.n_pages),
                         synth_robots(args.seed, args.n_pages).to_pandas(),
                         cfg, os.path.join(work, "ckpt"), resume=args.resume)

@@ -1,15 +1,17 @@
 """A plain numpy Bloom filter (no external deps, fully deterministic).
 
 Sized for the 10^10-URL frontier design point: at 1% target false-positive
-rate a shard holding 10^9 keys needs ~1.2 GB of bits; the engine therefore
-shards the seen-set by ``hash(url) % num_shards`` (one Bloom per shard actor)
-so each shard's bitmap fits comfortably in a worker's heap (SURVEY.md §7.4).
+rate 10^9 keys need ~1.2 GB of bits; the engine therefore keeps one filter
+per URL partition (``hash(url) % num_partitions``, see
+:mod:`borges_ray.state.seenfilter`) so each bitmap fits comfortably in the
+heap of the one task that gates that partition (SURVEY.md §7.4).
 
 The Bloom answers "definitely unseen" / "maybe seen"; exact confirmation
-happens against the shard's exact key set (small scales) or the per-partition
-seen Parquet (large scales) — the seen SET is always exact, the Bloom only
-short-circuits the common case (north_rule: "bloom/cuckoo URL-seen ...
-matching the reference's URL-seen set").
+happens against the partition's committed seen-delta Parquet — the seen SET
+is always exact, the Bloom only short-circuits the common case (north_rule:
+"bloom/cuckoo URL-seen ... matching the reference's URL-seen set").  The
+bit array is the filter's whole state: :meth:`BloomFilter.tobytes` /
+:meth:`BloomFilter.frombytes` persist it between rounds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,21 @@ class BloomFilter:
         self.num_bits = max(64, (m + 63) // 64 * 64)
         self.num_hashes = max(1, int(round(m / capacity * math.log(2))))
         self.bits = np.zeros(self.num_bits // 64, dtype=np.uint64)
-        self.count = 0
+
+    def tobytes(self) -> bytes:
+        return self.bits.tobytes()
+
+    @classmethod
+    def frombytes(cls, capacity: int, buf: bytes,
+                  fp_rate: float = 0.01) -> "BloomFilter":
+        """The filter whose bits :meth:`tobytes` returned; a buffer of
+        another size (a filter sized by another capacity) raises."""
+        f = cls(capacity, fp_rate)
+        if len(buf) != f.bits.nbytes:
+            raise ValueError(f"bloom bits are {len(buf)} bytes, capacity "
+                             f"{capacity} needs {f.bits.nbytes}")
+        f.bits = np.frombuffer(buf, dtype=np.uint64).copy()
+        return f
 
     def _positions(self, keys: list[str]) -> np.ndarray:
         """(n, k) bit positions via double hashing of blake2b(key)."""
@@ -46,7 +62,6 @@ class BloomFilter:
         pos = self._positions(keys).ravel()
         np.bitwise_or.at(self.bits, pos >> np.uint64(6),
                          np.uint64(1) << (pos & np.uint64(63)))
-        self.count += len(keys)
 
     def maybe_contains_batch(self, keys: list[str]) -> np.ndarray:
         if not keys:

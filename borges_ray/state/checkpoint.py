@@ -7,20 +7,28 @@ equivalent is immutable round outputs (SURVEY.md §4 "Checkpoint / resume"):
     ckpt/
       round=0000/
         crawled/      *.parquet   (fetch results of this round)
-        seen_delta/   *.parquet   (URLs first enqueued during this round)
+        seen_delta/   *.parquet   (URLs first enqueued during this round,
+                                   sorted by (partition, url))
+        seen_filter/  part-<p>.bits (raw bits of partition p's URL-seen
+                                   filter over seen_delta of rounds 0..r;
+                                   see state/seenfilter.py)
         frontier/     *.parquet   (the FULL frontier entering round r itself:
                                    bootstrap writes seeds to round=0/frontier,
                                    and run_crawl reads round r's frontier as
                                    that round's input)
         host_state/   *.parquet   (host, next_seq) entering round r
         metrics/      *.parquet
+        _MANIFEST                 (round 0 only: the layout settings the
+                                   checkpoint was written with, JSON)
         _COMMITTED                (empty marker, written LAST)
 
-Resume = max round with ``_COMMITTED``; the seen index rebuilds from the
+Resume = max round with ``_COMMITTED``; the seen filters load from round
+k's ``seen_filter`` files (no history is re-hashed) and confirm against the
 union of ``seen_delta`` over rounds 0..k, the frontier reloads from round k,
 and per-host sequence counters continue from ``host_state`` — a killed job
 replays only the uncommitted round, and replaying is idempotent because
-every output is keyed by (round, url).
+every output is keyed by (round, url).  A resume whose layout settings
+differ from ``_MANIFEST`` raises instead of mis-routing state.
 
 Writes land in ``_tmp.<name>`` then ``os.rename`` — the marker never
 coexists with partial data.
@@ -28,13 +36,16 @@ coexists with partial data.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-SUBDIRS = ("crawled", "seen_delta", "frontier", "host_state", "metrics")
+SUBDIRS = ("crawled", "seen_delta", "seen_filter", "frontier", "host_state",
+           "metrics")
+MANIFEST = "_MANIFEST"
 
 
 def round_dir(ckpt: str, rnd: int) -> str:
@@ -82,6 +93,30 @@ def write_table(ckpt: str, rnd: int, name: str, table: pa.Table) -> str:
         shutil.rmtree(final)
     os.rename(tmp, final)
     return final
+
+
+def write_manifest(ckpt: str, layout: dict) -> None:
+    """Record the settings the checkpoint's layout depends on, in round 0
+    (before its ``_COMMITTED``)."""
+    path = os.path.join(round_dir(ckpt, 0), MANIFEST)
+    with open(path + ".__tmp", "w") as f:
+        json.dump(layout, f, sort_keys=True)
+    os.replace(path + ".__tmp", path)
+
+
+def check_manifest(ckpt: str, layout: dict) -> None:
+    """Raise ``ValueError`` naming the first setting of ``layout`` that
+    differs from the one the checkpoint was written with."""
+    path = os.path.join(round_dir(ckpt, 0), MANIFEST)
+    if not os.path.exists(path):
+        raise ValueError(f"checkpoint {ckpt} has no round=0000/{MANIFEST}")
+    with open(path) as f:
+        stored = json.load(f)
+    for k, v in layout.items():
+        if k not in stored or stored[k] != v:
+            raise ValueError(
+                f"checkpoint {ckpt} was written with {k}={stored.get(k)!r}; "
+                f"cannot resume it with {k}={v!r}")
 
 
 def commit_round(ckpt: str, rnd: int) -> None:

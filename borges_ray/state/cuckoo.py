@@ -3,7 +3,7 @@
 deletion-capable half of the north_rule's "bloom/cuckoo URL-seen".
 
 Why the engine needs deletion at the design point: the Bloom-backed seen
-shard stays CORRECT under invalidation (membership truth lives in the exact
+filter stays CORRECT under invalidation (membership truth lives in the exact
 set / seen-Parquet), but a Bloom can never un-set bits, so every
 invalidated-then-recrawled URL permanently pays the slow confirm path
 (a per-partition Parquet probe at 10^10 URLs).  A cuckoo filter deletes its
@@ -48,6 +48,21 @@ class CuckooFilter:
         self.table = np.zeros((nb, slots_per_bucket), dtype=np.uint16)  # 0 = empty
         self.count = 0
 
+    def tobytes(self) -> bytes:
+        return self.table.tobytes()
+
+    @classmethod
+    def frombytes(cls, capacity: int, buf: bytes) -> "CuckooFilter":
+        """The filter whose table :meth:`tobytes` returned (``count`` is the
+        number of occupied slots); a buffer of another size raises."""
+        f = cls(capacity)
+        if len(buf) != f.table.nbytes:
+            raise ValueError(f"cuckoo table is {len(buf)} bytes, capacity "
+                             f"{capacity} needs {f.table.nbytes}")
+        f.table = np.frombuffer(buf, dtype=np.uint16).reshape(f.table.shape).copy()
+        f.count = int(np.count_nonzero(f.table))
+        return f
+
     # -- hashing ----------------------------------------------------------
     def _fp_i1(self, keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(fingerprint, primary bucket) per key — fingerprints are forced
@@ -73,8 +88,8 @@ class CuckooFilter:
         """Insert every key (duplicates insert duplicate fingerprints, which
         keeps delete semantics exact: one delete removes one insert).
         Raises ``RuntimeError`` when an insertion exceeds the kick budget —
-        the filter is past its design load; shard capacity is sized so this
-        never fires in practice."""
+        the filter is past its design load; ``seen_capacity`` sizes each
+        partition's filter so this never fires in practice."""
         if not keys:
             return
         f_all, i1_all = self._fp_i1(keys)
@@ -138,6 +153,6 @@ class CuckooFilter:
                     break
         return out
 
-    # Bloom-interface alias so the seen shard can treat either filter
+    # Bloom-interface alias so the seen gate can treat either filter
     # uniformly on the read path.
     maybe_contains_batch = contains_batch

@@ -1,21 +1,20 @@
-"""Partitioned URL-seen index: Bloom prefilter + exact confirm, as shard
-actors.
+"""URL-seen shard actors: Bloom prefilter + exact confirm.
 
-This is the one place the engine drops below the Dataset API to raw Ray
-actors, and deliberately so (SURVEY.md §2.11 / build-brief rule: shared
-mutable index): the seen-set must support *check-and-add within a round*
-with exactly-once semantics across concurrently-running dedup tasks.  Each
-shard owns a fixed range of ``hash(url) % num_shards``; a batch of candidate
-URLs is routed to its shard, which answers atomically.  Per-shard state:
+The crawl no longer uses this module: each URL partition's winner task owns
+its membership (:mod:`borges_ray.state.seenfilter`).  It is kept for the
+benchmark's stage replay (``perfbench/replay.py`` gates through
+``stages.links.gate_candidates`` on these shards) and for
+:func:`seen_invalidate`, the recrawl-invalidation API.
 
-- a Bloom bitmap (fast "definitely new" path — the T3 dupefilter analogue),
-- an exact Python set for confirmation (kept exact; at the 10^10 design
-  point this set is replaced by per-partition seen-Parquet probes for
-  Bloom-positives — the Bloom then filters ~99% of probes).
+Each shard owns a fixed range of ``hash(url) % num_shards``; a batch of
+candidate URLs is routed to its shard, which answers atomically.  Per-shard
+state:
 
-Rebuildable from the checkpointed seen-delta Parquet on resume
-(:func:`UrlSeenShard.load_keys`), so a killed job reconstructs the exact
-same membership.
+- a Bloom (or cuckoo) filter — the fast "definitely new" path,
+- an exact Python dict of url → round first seen, for confirmation.
+
+Rebuildable from the checkpointed seen-delta Parquet
+(:func:`UrlSeenShard.load_keys` / :func:`seen_load`).
 """
 
 from __future__ import annotations

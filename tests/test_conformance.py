@@ -98,6 +98,34 @@ def test_per_host_order_equality(oracle_result, engine_result):
         assert eng_order == ora_order, f"order mismatch for {host}"
 
 
+def test_crawl_runs_without_seen_actors(web, oracle_result, ray_session,
+                                        tmp_path, monkeypatch):
+    """URL-seen membership lives in the per-partition winner tasks: with
+    the shard-actor entry points made to raise, the crawl still completes
+    and matches the oracle's seen set and per-host fetch order."""
+    from borges_ray.state import urlseen
+
+    def refuse(*a, **kw):
+        raise AssertionError("the crawl must not use URL-seen actors")
+
+    monkeypatch.setattr(urlseen, "create_seen_index", refuse)
+    monkeypatch.setattr(urlseen, "seen_check_and_add", refuse)
+    _, seeds, robots, pages_root, _ = web
+    ck = str(tmp_path / "ckpt")
+    run_crawl(pages_root, seeds, robots.to_pandas(),
+              EngineConfig(max_rounds=6, num_partitions=8, num_buckets=4), ck,
+              resume=False)
+    seen = collect_seen(ck).to_pandas()
+    assert dict(zip(seen["url"], seen["seen_round"])) == {
+        r["url"]: r["seen_round"] for r in oracle_result.seen}
+    crawled = collect_crawled(ck).to_pandas()
+    oracle_df = pd.DataFrame(oracle_result.crawled)
+    for df in (crawled, oracle_df):
+        df.sort_values(["host", "host_seq", "url"], inplace=True, ignore_index=True)
+    for col in ("url", "status", "host_seq", "fetch_round"):
+        assert crawled[col].tolist() == oracle_df[col].tolist(), col
+
+
 def test_crawl_made_progress(oracle_result):
     statuses = pd.Series([r["status"] for r in oracle_result.crawled])
     # the fixture web must exercise every path: fetches, 404s, robots blocks

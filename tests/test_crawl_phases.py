@@ -81,7 +81,7 @@ PATCHED = {
     "host_state": (crawl, "_update_host_state", lambda *a: a[5] == FAIL_ROUND),
     "defer": (crawl, "defer_frontier",
               lambda frontier, sel_dir: ckpt.round_dir("", FAIL_ROUND + 1) in sel_dir),
-    "gate": (crawl, "gate_candidates", lambda *a: a[3] == FAIL_ROUND + 1),
+    "gate": (crawl, "gate_links", lambda *a: a[3] == FAIL_ROUND + 1),
     "commit": (ckpt, "commit_round", lambda ckpt_dir, r: r == FAIL_ROUND + 1),
 }
 

@@ -2802,6 +2802,18 @@ def test_editdist_pairs_vs_brute(ray_session):
     assert len(exp) > 50  # the corpus actually exercises the join
 
 
+def test_editdist_pairs_none_within_max_dist(ray_session):
+    """No pair within ``max_dist`` gives an empty frame that still has the
+    typed id_a/id_b/dist columns."""
+    from borges_ray.ops.dedup import editdist_pairs
+
+    df = pd.DataFrame({"doc_id": [1, 2], "title": ["abcdefghij", "klmnopqrst"]})
+    got = editdist_pairs(rd.from_pandas(df), "doc_id", "title", max_dist=1)
+    assert got.empty
+    assert list(got.columns) == ["id_a", "id_b", "dist"]
+    assert (got.dtypes == "int64").all()
+
+
 def test_editdist_bucket_cap_keeps_precision(ray_session):
     """An adversarially tiny ``max_bucket`` may drop recall (logged) but
     every returned pair still carries its TRUE distance ≤ k."""

@@ -74,3 +74,19 @@ def test_resume_replays_uncommitted_round(web, ray_session):
     cc, cs = _tables(crash_dir)
     assert fc.equals(cc)
     assert fs.equals(cs)
+
+
+@pytest.mark.parametrize("field, value", [("num_partitions", 4),
+                                          ("seen_filter", "cuckoo")])
+def test_resume_with_other_layout_raises(web, ray_session, field, value):
+    """``round=0000/_MANIFEST`` records the layout settings; a resume that
+    changes one (here the partitioning of the seen filters, or their kind)
+    raises naming it instead of mis-routing membership."""
+    pages_root, seeds, robots, root = web
+    ckpt_dir = os.path.join(root, f"layout_{field}")
+    run_crawl(pages_root, seeds, robots, EngineConfig(**{**CFG, "max_rounds": 1}),
+              ckpt_dir, resume=False)
+    with pytest.raises(ValueError, match=field):
+        run_crawl(pages_root, seeds, robots, EngineConfig(**{**CFG, field: value}),
+                  ckpt_dir, resume=True)
+    assert ckpt.last_committed_round(ckpt_dir) == 1

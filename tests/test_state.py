@@ -147,3 +147,142 @@ def test_write_table_atomic_overwrite(tmp_path):
     ckpt.write_table(d, 0, "m", pa.table({"x": pa.array([1])}))
     ckpt.write_table(d, 0, "m", pa.table({"x": pa.array([7, 8])}))  # idempotent replay
     assert ckpt.read_table(d, 0, "m")["x"].to_pylist() == [7, 8]
+
+
+# ---- per-partition seen gate (state.seenfilter + stages.links.gate_partition)
+
+P = 4
+
+
+def _seen_setup(root, kind, history_urls, capacity=10_000):
+    """Round-r state of one crawl over ``P`` partitions: a committed
+    seen_delta file holding ``history_urls`` and round r's filters built
+    from it; returns ``SeenFilters`` writing round r+1's filters."""
+    import pyarrow.parquet as pq
+
+    from borges_ray.canonical import partition_of
+    from borges_ray.schemas import SEEN
+    from borges_ray.state import seenfilter
+
+    by_part: dict[int, list[str]] = {}
+    for u in history_urls:
+        by_part.setdefault(partition_of(u, P), []).append(u)
+    src, dst = os.path.join(root, "src"), os.path.join(root, "dst")
+    seenfilter.seed_filters(src, kind, capacity, P, by_part)
+    os.makedirs(dst, exist_ok=True)
+    hist = os.path.join(root, "seen-0.parquet")
+    pq.write_table(pa.table({
+        "url": history_urls,
+        "partition": [partition_of(u, P) for u in history_urls],
+        "seen_round": [0] * len(history_urls)}, schema=SEEN), hist)
+    return seenfilter.SeenFilters(kind, capacity, src, dst, (hist,))
+
+
+def _candidates(urls, part):
+    import pandas as pd
+
+    return pd.DataFrame({
+        "url": urls, "host": [u.split("/")[2] for u in urls],
+        "depth": np.int32(1), "priority": np.int32(3),
+        "discovered_round": np.int32(1), "parent_url": "http://s.example/",
+        "partition": np.int32(part)})
+
+
+def _one_partition(history, fresh):
+    """History and candidate urls of one partition (the partition of the
+    first history url)."""
+    from borges_ray.canonical import partition_of
+
+    p = partition_of(history[0], P)
+    return (p, [u for u in history if partition_of(u, P) == p],
+            [u for u in fresh if partition_of(u, P) == p])
+
+
+HIST = [f"http://h{i % 7}.example/old/{i}" for i in range(400)]
+FRESH = [f"http://h{i % 7}.example/new/{i}" for i in range(400)]
+
+
+def test_saturated_filter_confirms_every_url_exactly(tmp_path, monkeypatch):
+    """Every bit set: each candidate goes down the exact-confirm path, and
+    the new rows equal those of a filter built from the same history; with
+    no history they equal an empty filter's."""
+    from borges_ray.stages.links import gate_partition
+    from borges_ray.state import seenfilter
+
+    p, hist, fresh = _one_partition(HIST, FRESH)
+    cands = _candidates(hist[::2] + fresh, p)
+
+    exact = _seen_setup(str(tmp_path / "exact"), "bloom", HIST)
+    want = gate_partition(cands, exact, {})
+    assert sorted(want["url"]) == sorted(fresh)
+
+    confirmed: list[str] = []
+    real = seenfilter.in_history
+    monkeypatch.setattr(seenfilter, "in_history", lambda files, q, urls: (
+        confirmed.extend(urls), real(files, q, urls))[1])
+    for hist_urls, name in ((HIST, "sat"), ([], "sat_empty")):
+        sat = _seen_setup(str(tmp_path / name), "bloom", hist_urls)
+        path = seenfilter.filter_path(sat.src, p)
+        with open(path, "rb") as f:
+            n = len(f.read())
+        with open(path, "wb") as f:
+            f.write(b"\xff" * n)
+        confirmed.clear()
+        got = gate_partition(cands, sat, {})
+        assert sorted(confirmed) == sorted(cands["url"])
+        if hist_urls:
+            assert got.equals(want)
+        else:
+            empty = _seen_setup(str(tmp_path / "empty"), "bloom", [])
+            assert got.equals(gate_partition(cands, empty, {}))
+            assert len(got) == len(cands)
+
+
+@pytest.mark.parametrize("kind", ["bloom", "cuckoo"])
+def test_partition_gate_retry_is_byte_identical(tmp_path, kind):
+    """A retried partition task (same round, same committed inputs) writes
+    byte-identical filter and seen files and returns identical rows; the
+    written filter then holds exactly the partition's history + new urls."""
+    from borges_ray.pipelines.crawl import _make_split_emit
+    from borges_ray.stages.links import gate_partition
+    from borges_ray.state import seenfilter
+
+    p, hist, fresh = _one_partition(HIST, FRESH)
+    seen = _seen_setup(str(tmp_path), kind, HIST)
+    cands = _candidates(hist[1::3] + fresh, p)
+    robots = {"h1.example": (("/new/1",), ())}
+    runs = []
+    for attempt in range(2):
+        out = gate_partition(cands.sample(frac=1, random_state=attempt), seen, robots)
+        dirs = [str(tmp_path / f"try{attempt}" / d)
+                for d in ("frontier", "seen_delta", "crawled")]
+        for d in dirs:
+            os.makedirs(d)
+        _make_split_emit(0, *dirs)(out)
+        with open(seenfilter.filter_path(seen.dst, p), "rb") as f:
+            bits = f.read()
+        base = tmp_path / f"try{attempt}"
+        files = {str(f.relative_to(base)): f.read_bytes()
+                 for f in base.rglob("*") if f.is_file()}
+        runs.append((out.reset_index(drop=True), bits, files))
+    (o1, b1, f1), (o2, b2, f2) = runs
+    assert o1.equals(o2) and b1 == b2 and f1 == f2
+    assert sorted(o1["url"]) == sorted(fresh) and o1["blocked"].any()
+    assert any(k.startswith("seen_delta") for k in f1)
+    written = seenfilter.read_filter(kind, seen.capacity, seenfilter.filter_path(seen.dst, p))
+    assert written.maybe_contains_batch(hist + fresh).all()
+
+
+def test_seen_filter_bits_round_trip_and_size_check():
+    from borges_ray.state.cuckoo import CuckooFilter
+
+    keys = [f"http://h.example/{i}" for i in range(300)]
+    for cls in (BloomFilter, CuckooFilter):
+        f = cls(5000)
+        f.add_batch(keys)
+        g = cls.frombytes(5000, f.tobytes())
+        assert g.tobytes() == f.tobytes()
+        assert g.maybe_contains_batch(keys).all()
+        with pytest.raises(ValueError):
+            cls.frombytes(50_000, f.tobytes())
+    assert CuckooFilter.frombytes(5000, CuckooFilter(5000).tobytes()).count == 0

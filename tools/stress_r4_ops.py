@@ -12,6 +12,7 @@ distributed shapes:
 
 Usage: PYTHONPATH=/root/repo python tools/stress_r4_ops.py [--snm] [--kcore]
 """
+import os
 import sys
 import time
 
@@ -397,7 +398,7 @@ def stress_hits() -> None:
 
 
 if __name__ == "__main__":
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
+    ray.init(address="local", num_cpus=min(32, os.cpu_count()), include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
