@@ -82,6 +82,22 @@ def partition_of(url: str, num_partitions: int) -> int:
     return stable_hash(url) % num_partitions
 
 
+def host_buckets(hosts, num_buckets: int):
+    """Host bucket ``stable_hash(host) % num_buckets`` of each entry of the
+    Arrow string array ``hosts``, as an int64 numpy array: the crawl's
+    state key.  One hash per DISTINCT host, mapped back through the
+    dictionary encoding."""
+    import numpy as np
+    import pyarrow as pa
+
+    if isinstance(hosts, pa.ChunkedArray):
+        hosts = hosts.combine_chunks()
+    enc = hosts.dictionary_encode()
+    lut = np.array([stable_hash(h) % num_buckets
+                    for h in enc.dictionary.to_pylist()], dtype=np.int64)
+    return lut[enc.indices.to_numpy(zero_copy_only=False)]
+
+
 def canonicalize_batch(urls: list[str], bases: list[str] | None = None) -> list[str | None]:
     """Canonicalize a batch with memoization (crawl batches repeat hosts and
     frequently repeat whole URLs; the cache removes redundant parses)."""

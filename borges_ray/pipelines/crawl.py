@@ -1,35 +1,54 @@
 """The crawl engine: BSP rounds of Ray Data stages with Parquet checkpoints.
 
-One crawl round (mirrors the oracle spec in ``reference_crawl.py`` exactly):
+One crawl round r (mirrors the oracle spec in ``reference_crawl.py``
+exactly) is TWO Ray Data executions, run serially:
 
-    frontier_r ──combiner──shuffle(host)──► selected (host_seq assigned)
-        │                                     │
-        │ broadcast(selected urls)            ├──groupby(bucket)──► fetch-join pages
-        ▼                                     ▼
-    deferred                                parse (extract/lang/links)
-        │                                     │ explode→winner dedup→seen+robots gate
-        ▼                                     ▼
-    frontier_{r+1} = deferred ∪ new_allowed;  crawled_r, seen_delta, metrics
+    round=r/frontier/hb-<b>-*  ─── A(r): per host bucket b ───┐
+    round=r/host_state/hb=<b>/      (ran in CA(r-1), or        │ selected rows
+                                     standalone in a call's    │ (pinned,
+                                     first round)              ▼  host_seq)
+    B(r)  fetch + parse ── bundle → request mw → fetch (probe
+          groupby(pbucket) | session/render actors | cfg.fetcher) →
+          response mw → repartition → parse → task-side writes:
+              round=r+1/crawled/fetched-<digest>       (crawled rows)
+              round=r+1/cand/hb-<b>-<digest>           (link candidates)
+          returns only the (partition, fetched, missed, links_emitted) tally
+    CA(r) one task per host bucket b (rd.from_items, batch_size=1):
+          C(r, b)   winner over cand/hb-<b>-* → check-and-add on b's
+                    filter (positives confirmed in b's OWN seen history)
+                    → robots → round=r+1/{frontier,seen_delta,crawled}/
+                    hb-<b>-*, seen_filter/part-<b>.bits, tally/
+          A(r+1, b) b's round r+1 frontier (deferred + new) and host state
+                    → exact carry-over select → returns the selection;
+                    writes b's deferred rows, host state and select tally
+                    into round=r+2 (uncommitted until round r+1 commits)
+    metrics(r) → round=r+1/metrics; timings → round=r+1/timings;
+    _COMMITTED(r+1)
+
+Every piece of round state is keyed by the host bucket ``hb =
+stable_hash(host) % num_partitions``: a URL's host fixes its bucket, so
+one task per bucket owns both politeness (selection, host clocks) and
+winner dedup + URL-seen membership, and neither select nor the gate needs
+a shuffle.  The only all-to-all left in a round is the corpus probe's
+``groupby(pbucket)`` inside B.  The last round (``max_rounds``) runs C
+only.
 
 Checkpoint layout (see :mod:`borges_ray.state.checkpoint`): ``round=r`` is
-the state *entering* round r — resume replays at most one uncommitted round,
-idempotently (each partition's seen filter loads from round r's file and
-the gate reads only committed rounds; crawled rows are keyed by (url), each
-url fetched exactly once).  The crawl starts no Ray actor on its default
-fetch path: URL-seen membership lives in the per-partition winner task
-(:mod:`borges_ray.state.seenfilter`).
+the state *entering* round r.  Resume replays at most one uncommitted
+round, idempotently: the uncommitted round dirs (including round r+2's
+pre-written selection state) are deleted and the call's first round runs
+a standalone A from committed state; each task-side write is keyed by its
+bucket or by a content digest, so a retried task rewrites the same bytes.
 
-Scale notes: the frontier is only ever *scanned* (combiner + deferral
-passes), never shuffled in full — the host-shuffle moves ≤ budget×blocks
-rows/host, the bucket-shuffle moves only the politeness-bounded selection,
-and the pages corpus is probed per-bucket, never shuffled (SURVEY.md §7.3).
+Out of scope: a Zipf-head host's whole backlog and seen set sit in one
+bucket task (hot-bucket splitting is not done); see
+:mod:`borges_ray.state.seenfilter` for what that does to its filter.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 # fsspec.implementations.http fails to import in this container (no
@@ -60,20 +79,23 @@ except ImportError:
     except ImportError:
         pass
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.feather as pafeather
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from .. import schemas
-from ..canonical import canonicalize, host_of, partition_of
+from ..canonical import canonicalize, host_buckets, host_of, partition_of
 from ..stages.fetch import fetch_selected
-from ..stages.links import gate_links
+from ..stages.links import explode_links, gate_bucket
 from ..stages.parse import parse_fetched
-from ..stages.politeness import defer_frontier, delays_from_robots, select_frontier
+from ..stages.politeness import (SELECTED, delays_from_robots, host_state_dir,
+                                 read_host_state, select_bucket)
 from ..state import checkpoint as ckpt
 from ..state import seenfilter
 
@@ -84,10 +106,10 @@ class EngineConfig:
     default_delay_ms: int = 1000
     max_rounds: int = 50
     max_depth: int | None = None
-    num_partitions: int = 16
+    num_partitions: int = 16    # host buckets of all round state (+ METRICS partitions)
     num_buckets: int = 16       # pages-corpus hash buckets
     num_seen_shards: int = 4    # not read by the engine (no URL-seen actors)
-    seen_capacity: int = 1_000_000  # keys per partition's seen filter
+    seen_capacity: int = 1_000_000  # keys per host bucket's seen filter
     flaky: bool = False          # T6 deterministic transient-failure + retry model
     night_shift: bool = False    # F9 time-of-day host gating
     api_keys: tuple = ()         # T2/S13: non-empty → session-actor fetch path
@@ -109,74 +131,47 @@ class EngineConfig:
     response_middlewares: tuple = ()
 
 
+#: The key of every piece of round state (frontier, host state, link
+#: candidates, seen filters and seen history), recorded in ``_MANIFEST``.
+STATE_KEY = "host_bucket"
+
+
 def _count_rows(path: str) -> int:
     if not os.path.isdir(path):
         return 0
     return pads.dataset(path, format="parquet").count_rows()
 
 
-def _scan_blocks(path: str, num_partitions: int) -> int:
-    """Metadata-driven block count for frontier scans: bytes-scaled
-    (grows with the table — at a 10^10-row frontier this is what sets real
-    parallelism) with a rows floor, capped at ``num_partitions`` so a small
-    round never shreds a ~1 MB frontier into 32 micro-blocks whose per-task
-    overhead dominates the round (the same pathology
-    ``relational._auto_num_blocks`` fixes for queries)."""
-    from ..ops.relational import _auto_num_blocks
-
-    files = [os.path.join(dp, f) for dp, _dn, fs in os.walk(path)
-             for f in fs if f.endswith(".parquet")]
-    if not files:
-        return 1
-    return _auto_num_blocks(files, target_bytes=4 << 20, rows_per_block=5000,
-                            max_row_blocks=num_partitions)
-
-
 def _layout(cfg: EngineConfig) -> dict:
     """The settings a checkpoint's layout depends on (recorded in its
-    ``_MANIFEST``): partitions route seen filters and host state, buckets
-    the corpus probe, and the clock settings the persisted politeness
-    clocks.  ``max_rounds``, ``fetcher`` and the middlewares stay free."""
-    return {k: getattr(cfg, k) for k in (
+    ``_MANIFEST``): the state key, partitions (the host-bucket count of
+    every piece of round state), buckets the corpus probe, and the clock
+    settings the persisted politeness clocks.  ``max_rounds``, ``fetcher``
+    and the middlewares stay free."""
+    return {"state_key": STATE_KEY, **{k: getattr(cfg, k) for k in (
         "num_partitions", "num_buckets", "seen_filter", "seen_capacity",
-        "round_ms", "default_delay_ms", "max_depth")}
-
-
-def _seen_delta_files(ckpt_dir: str, rnd: int) -> list[str]:
-    d = os.path.join(ckpt.round_dir(ckpt_dir, rnd), "seen_delta")
-    return [os.path.join(d, f) for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")]
-
-
-def _write_ds_into(final_dir: str, ds_or_table, tag: str) -> None:
-    """Write a Dataset (or small Arrow table) as parquet files inside
-    ``final_dir`` under a unique ``tag`` prefix (atomic: tmp + rename)."""
-    tmp = final_dir + f".__tmp_{tag}"
-    os.makedirs(tmp, exist_ok=True)
-    if isinstance(ds_or_table, pa.Table):
-        pq.write_table(ds_or_table, os.path.join(tmp, f"{tag}-0.parquet"))
-    else:
-        ds_or_table.write_parquet(tmp)
-    _publish(tmp, final_dir, tag)
-
-
-def _publish(tmp: str, final_dir: str, tag: str) -> None:
-    """Move the parquet files of ``tmp`` into ``final_dir`` as
-    ``<tag>-<i>.parquet`` (sorted order) and drop ``tmp``."""
-    import shutil
-
-    os.makedirs(final_dir, exist_ok=True)
-    for i, f in enumerate(sorted(os.listdir(tmp))):
-        if f.endswith(".parquet"):
-            os.rename(os.path.join(tmp, f), os.path.join(final_dir, f"{tag}-{i}.parquet"))
-    shutil.rmtree(tmp)
+        "round_ms", "default_delay_ms", "max_depth")}}
 
 
 def _atomic_write_table(dir_: str, name: str, table: pa.Table) -> None:
-    """Task-side atomic parquet write: tmp file + rename (same dir)."""
+    """Task-side atomic write: tmp file + rename (same dir).  A ``.arrow``
+    name is an uncompressed Arrow IPC file (the round's internal exchange
+    files: link candidates and tallies, read back once by the engine);
+    anything else is Parquet."""
+    os.makedirs(dir_, exist_ok=True)
     tmp = os.path.join(dir_, f".__tmp.{name}.{os.getpid()}")
-    pq.write_table(table, tmp)
+    if name.endswith(".arrow"):
+        pafeather.write_feather(table, tmp, compression="uncompressed")
+    else:
+        pq.write_table(table, tmp)
     os.replace(tmp, os.path.join(dir_, name))
+
+
+def _read_file(path: str) -> pa.Table:
+    """One file written by :func:`_atomic_write_table`."""
+    if path.endswith(".arrow"):
+        return pafeather.read_table(path, memory_map=False)
+    return pq.ParquetFile(path).read()
 
 
 def _url_digest(urls) -> str:
@@ -191,66 +186,221 @@ def _url_digest(urls) -> str:
     return h.hexdigest()
 
 
-def _tally_frame(df: pd.DataFrame, **dtypes: str) -> pd.DataFrame:
-    """``df``, or an empty frame with the tally's typed columns when the
-    tally execution returned no rows (and so no columns)."""
-    if len(df):
-        return df
-    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+def _bucket_name(b: int, tag: str, ext: str = "parquet") -> str:
+    """File name of host bucket ``b``'s part of a round subdir."""
+    return f"hb-{b:05d}-{tag}.{ext}"
 
 
 def _timed(times: dict, name: str, fn, *args, **kw):
     """Run ``fn(*args, **kw)`` and record its wall seconds as
-    ``times[name]`` — the one timer of every round phase, whether it runs
-    in-line or as a future on the round executor."""
+    ``times[name]`` — the one timer of every round phase."""
     t0 = time.perf_counter()
     out = fn(*args, **kw)
     times[name] = round(time.perf_counter() - t0, 4)
     return out
 
 
-def _write_crawled(parsed: rd.Dataset, crawled_dir: str) -> pd.DataFrame:
-    """Write the pinned parse output into ``crawled_dir`` as
-    ``fetched-<i>.parquet`` and return its per-partition (fetched, missed,
-    links_emitted) tally.  ONE execution: each task writes its own block
-    (content-digest name into a tmp dir, published by rename) and returns
-    only its tally rows, so the METRICS counts cost no extra pass."""
-    tmp = crawled_dir + ".__tmp_fetched"
-    os.makedirs(tmp, exist_ok=True)
+def _identity(t: pa.Table) -> pa.Table:
+    return t
+
+
+def _tally(t: pa.Table, by: str, **cols) -> pa.Table:
+    """``cols`` (name → int column of ``t``'s rows) summed per ``by``."""
+    g = pa.table({by: t[by].cast(pa.int64()),
+                  **{k: v.cast(pa.int64()) for k, v in cols.items()}}
+                 ).group_by(by).aggregate([(k, "sum") for k in cols])
+    return g.rename_columns([c.removesuffix("_sum") for c in g.column_names])
+
+
+# --- B: fetch + parse, task-side writes ------------------------------------
+
+def _crawled_and_candidates(rnd: int, next_dir: str, num_buckets: int,
+                            max_depth: int | None):
+    """B's last step, per parsed block: write the block's crawled rows and
+    its exploded, winner-deduped link candidates — one file per host
+    bucket under round r+1's ``cand/`` — both named by the block's content
+    digest (a retried task rewrites the same bytes under the same names),
+    and return only the per-partition (fetched, missed, links_emitted)
+    tally."""
+    crawled_dir = os.path.join(next_dir, "crawled")
+    cand_dir = os.path.join(next_dir, "cand")
 
     def emit(t: pa.Table) -> pa.Table:
         if t.num_rows:
-            _atomic_write_table(tmp, f"{_url_digest(t['url'].to_pylist())}.parquet", t)
-        # robots-blocked (999) rows are written by the split, never parsed:
+            digest = _url_digest(t["url"].to_pylist())
+            _atomic_write_table(crawled_dir, f"fetched-{digest}.parquet", t)
+            cands = explode_links(t, rnd + 1, num_buckets, max_depth)
+            hb = host_buckets(cands["host"], num_buckets)
+            for b in np.unique(hb).tolist():
+                _atomic_write_table(cand_dir, _bucket_name(b, digest, "arrow"),
+                                    cands.filter(pa.array(hb == b)))
+        # robots-blocked (999) rows are written by the gate, never parsed:
         # every non-200 row here is a miss (404 and retry-exhausted 503 alike)
         ok = pc.equal(t["status"], 200)
-        g = pa.table({
-            "partition": t["partition"].cast(pa.int64()),
-            "fetched": ok.cast(pa.int64()),
-            "missed": pc.invert(ok).cast(pa.int64()),
-            "links_emitted": pc.if_else(ok, t["n_links"], 0).cast(pa.int64()),
-        }).group_by("partition").aggregate(
-            [("fetched", "sum"), ("missed", "sum"), ("links_emitted", "sum")])
-        return g.rename_columns([c.removesuffix("_sum") for c in g.column_names])
+        return _tally(t, "partition", fetched=ok, missed=pc.invert(ok),
+                      links_emitted=pc.if_else(ok, t["n_links"], 0))
 
-    tally = parsed.map_batches(emit, batch_format="pyarrow").to_pandas()
-    _publish(tmp, crawled_dir, "fetched")
-    return _tally_frame(tally, partition="int64", fetched="int64",
-                        missed="int64", links_emitted="int64")
+    return emit
+
+
+# --- CA: one task per host bucket -------------------------------------------
+
+def _gate_into(ckpt_dir: str, rnd: int, b: int, kind: str, capacity: int,
+               robots: dict) -> None:
+    """C of bucket ``b``: gate round ``rnd``'s link candidates (round
+    r+1's ``cand/hb-<b>-*`` files) and write round r+1's new frontier,
+    seen and blocked (999) rows, next filter and gate tally for ``b``."""
+    this_dir = ckpt.round_dir(ckpt_dir, rnd)
+    next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
+    cand_dir = os.path.join(next_dir, "cand")
+    prefix = f"hb-{b:05d}-"
+    files = sorted(os.path.join(cand_dir, f) for f in (
+        os.listdir(cand_dir) if os.path.isdir(cand_dir) else ())
+        if f.startswith(prefix) and f.endswith(".arrow"))
+    cands = (pa.concat_tables([_read_file(f) for f in files]) if files
+             else schemas.FRONTIER.empty_table())
+    seen = seenfilter.SeenFilters(
+        kind, capacity, os.path.join(this_dir, "seen_filter"),
+        os.path.join(next_dir, "seen_filter"),
+        seenfilter.history_files([os.path.join(ckpt.round_dir(ckpt_dir, k), "seen_delta")
+                                  for k in range(rnd + 1)], b))
+    os.makedirs(seen.dst, exist_ok=True)
+    _write_gated(gate_bucket(cands, seen, b, robots), b, rnd, next_dir)
+
+
+def _write_gated(gated: pa.Table, b: int, rnd: int, next_dir: str) -> None:
+    """Write bucket ``b``'s gated new links into round r+1: frontier rows
+    (not blocked), seen rows (all, sorted by url), robots-blocked status-999
+    crawled rows, and the (partition, links_new, blocked) tally."""
+    if not gated.num_rows:
+        return
+    from ..stages.parse import PARSED_SCHEMA
+
+    blocked = gated["blocked"]
+    new = gated.filter(pc.invert(blocked))
+    if new.num_rows:
+        _atomic_write_table(os.path.join(next_dir, "frontier"),
+                            _bucket_name(b, "new"),
+                            new.select(schemas.FRONTIER.names))
+    n = gated.num_rows
+    seen_rows = pa.table({
+        "url": gated["url"], "partition": gated["partition"],
+        "seen_round": pa.array(np.full(n, rnd + 1, np.int32))}, schema=schemas.SEEN)
+    _atomic_write_table(*os.path.split(seenfilter.seen_file(
+        os.path.join(next_dir, "seen_delta"), b)), seen_rows)
+    bl = gated.filter(blocked)
+    if bl.num_rows:
+        k = bl.num_rows
+
+        def const(v, typ):
+            return pa.array([v] * k, typ)
+
+        rows = {"url": bl["url"], "host": bl["host"], "depth": bl["depth"],
+                "priority": bl["priority"],
+                "fetch_round": const(rnd + 1, pa.int32()),
+                "host_seq": const(-1, pa.int32()), "status": const(999, pa.int32()),
+                "attempts": const(0, pa.int32()),
+                "extracted_text": const("", pa.string()),
+                "lang": const("", pa.string()), "n_links": const(0, pa.int32()),
+                "links": const([], pa.list_(pa.string())),
+                "partition": bl["partition"]}
+        _atomic_write_table(os.path.join(next_dir, "crawled"),
+                            _bucket_name(b, "blocked"),
+                            pa.table(rows, schema=PARSED_SCHEMA))
+    _atomic_write_table(os.path.join(next_dir, "tally"), f"gate-hb-{b:05d}.arrow",
+                        _tally(gated, "partition", links_new=pc.invert(blocked),
+                               blocked=blocked))
+
+
+def _select_into(ckpt_dir: str, rnd: int, b: int, delays: dict, round_ms: int,
+                 night_shift: bool) -> pa.Table:
+    """A of bucket ``b``: select round ``rnd`` from b's frontier slice
+    (its deferred + new files) and host-state slice, write b's deferred
+    rows, host state and select tally into round r+1, and return the
+    selected rows."""
+    this_dir = ckpt.round_dir(ckpt_dir, rnd)
+    next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
+    fdir = os.path.join(this_dir, "frontier")
+    parts = [_read_file(p) for p in (os.path.join(fdir, _bucket_name(b, tag))
+                                        for tag in ("deferred", "new"))
+             if os.path.exists(p)]
+    frontier = pa.concat_tables(parts) if parts else schemas.FRONTIER.empty_table()
+    hs_root = os.path.join(this_dir, "host_state")
+    old = read_host_state(hs_root, b)
+    selected, deferred, state = select_bucket(frontier, old, delays, rnd,
+                                              round_ms, night_shift)
+    if deferred.num_rows:
+        _atomic_write_table(os.path.join(next_dir, "frontier"),
+                            _bucket_name(b, "deferred"),
+                            deferred)
+    dst = host_state_dir(os.path.join(next_dir, "host_state"), b)
+    if state is not None:
+        _atomic_write_table(dst, "state-0.parquet", state)
+    elif old is not None:
+        # unchanged slice: hard-link it forward — a file op, no data read
+        src = host_state_dir(hs_root, b)
+        os.makedirs(dst, exist_ok=True)
+        for f in os.listdir(src):
+            if not f.startswith("."):
+                ckpt.link_file(os.path.join(src, f), os.path.join(dst, f))
+    if selected.num_rows:
+        _atomic_write_table(os.path.join(next_dir, "tally"),
+                            f"select-hb-{b:05d}.arrow",
+                            _tally(selected, "partition",
+                                   selected=pa.array(np.ones(selected.num_rows,
+                                                             np.int64))))
+    return selected
+
+
+def _bucket_round(ckpt_dir: str, cfg: EngineConfig, robots_ref, delays_ref,
+                  gate_round: int | None, select_round: int | None) -> rd.Dataset:
+    """ONE Ray Data execution of ``num_partitions`` tasks, one per host
+    bucket: task b runs C (gate round ``gate_round``'s links) and then A
+    (select round ``select_round``), either of which may be None.  Returns
+    the selection, pinned."""
+    from ..ops.relational import cached_get
+
+    kind, capacity = cfg.seen_filter, cfg.seen_capacity
+    round_ms, night_shift = cfg.round_ms, cfg.night_shift
+
+    def task(t: pa.Table) -> pa.Table:
+        b = int(t["b"][0].as_py())
+        if gate_round is not None:
+            _gate_into(ckpt_dir, gate_round, b, kind, capacity,
+                       cached_get(robots_ref))
+        if select_round is None:
+            return SELECTED.empty_table()
+        return _select_into(ckpt_dir, select_round, b, cached_get(delays_ref),
+                            round_ms, night_shift)
+
+    # The tasks are a few ms each; running them one below the cluster's CPU
+    # count costs little wall time and leaves one worker process unloaded
+    # (4 Ray CPUs: crawl_polite peak RSS ~1560 -> ~1430 MB, +0.03 s a round).
+    slots = max(1, int(ray.cluster_resources().get("CPU", 1)) - 1)
+    P = cfg.num_partitions
+    return rd.from_items([{"b": b} for b in range(P)], override_num_blocks=P
+                         ).map_batches(task, batch_format="pyarrow", batch_size=1,
+                                       concurrency=slots).materialize()
 
 
 def _round_metrics(rnd: int, num_partitions: int, frontier_size: int,
-                   selected: pd.Series, fetch_tally: pd.DataFrame,
-                   split_tally: pd.DataFrame) -> pa.Table:
-    """One METRICS row per partition, from the tallies the round already
-    holds: per-partition selections (host-state pass), fetched / missed /
-    links_emitted (crawled write) and links_new / blocked (split)."""
+                   fetch_tally: pd.DataFrame, tally_dir: str) -> pa.Table:
+    """One METRICS row per partition, from the tallies the round's tasks
+    returned (fetched / missed / links_emitted) or wrote into ``tally_dir``
+    (selected per bucket task of A, links_new / blocked per task of C)."""
     m = pd.DataFrame(index=pd.Index(range(num_partitions), name="partition"))
-    m["selected"] = selected
-    m = m.join(fetch_tally.groupby("partition").sum())
-    for col, blocked in (("links_new", False), ("blocked", True)):
-        rows = split_tally[split_tally["blocked"] == blocked]
-        m[col] = rows.groupby("partition")["n"].sum()
+    files = sorted(os.listdir(tally_dir)) if os.path.isdir(tally_dir) else []
+    for kind in ("select", "gate"):
+        parts = [_read_file(os.path.join(tally_dir, f)).to_pandas()
+                 for f in files if f.startswith(kind + "-")]
+        if parts:
+            m = m.join(pd.concat(parts).groupby("partition").sum())
+    if len(fetch_tally):
+        m = m.join(fetch_tally.groupby("partition").sum())
+    for col in ("selected", "fetched", "missed", "links_emitted", "links_new",
+                "blocked"):
+        if col not in m.columns:
+            m[col] = 0
     m = m.fillna(0).astype("int64").reset_index()
     m["round"] = rnd
     m["frontier_size"] = frontier_size
@@ -258,57 +408,34 @@ def _round_metrics(rnd: int, num_partitions: int, frontier_size: int,
                                 preserve_index=False).cast(schemas.METRICS)
 
 
-def _make_split_emit(rnd: int, frontier_dir: str, seen_dir: str,
-                     crawled_dir: str):
-    """Per-block split emitter for the gated new-link rows: writes the
-    block's frontier rows (non-blocked), seen-delta rows (all), and
-    robots-blocked status-999 crawled rows as parquet files named by a
-    content digest (a retried task rewrites the same bytes under the same
-    name — idempotent), and returns only the tiny (partition, blocked, n)
-    tally.  The driver never sees a new-link row."""
+def _write_timings(round_dir: str, times: dict) -> None:
+    _atomic_write_table(os.path.join(round_dir, "timings"), "part-0.parquet",
+                        pa.table({"phase": pa.array(list(times), pa.string()),
+                                  "seconds": pa.array(list(times.values()),
+                                                      pa.float64())}))
 
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"partition": pd.Series(dtype="int64"),
-                              "blocked": pd.Series(dtype=bool),
-                              "n": pd.Series(dtype="int64")})
-        if df.empty:
-            return empty
-        from ..stages.parse import PARSED_SCHEMA
 
-        digest = _url_digest(df["url"])
-
-        t = pa.Table.from_pandas(df, preserve_index=False)
-        nb = t.filter(pc.invert(t["blocked"]))
-        if nb.num_rows:
-            ft = nb.select([f.name for f in schemas.FRONTIER]).cast(schemas.FRONTIER)
-            _atomic_write_table(frontier_dir, f"new-{digest}.parquet", ft)
-        st = t.append_column(
-            "seen_round", pa.array([rnd + 1] * t.num_rows, pa.int32()))
-        st = st.select(["url", "partition", "seen_round"]).cast(schemas.SEEN).sort_by(
-            [("partition", "ascending"), ("url", "ascending")])
-        _atomic_write_table(seen_dir, f"links-{digest}.parquet", st)
-        b = df[df["blocked"]]
-        if len(b):
-            b = b.assign(fetch_round=rnd + 1, host_seq=-1, status=999,
-                         attempts=0, extracted_text="", lang="", n_links=0)
-            b = b.copy()
-            b["links"] = [[] for _ in range(len(b))]
-            bt = pa.Table.from_pandas(
-                b[PARSED_SCHEMA.names], preserve_index=False).cast(PARSED_SCHEMA)
-            _atomic_write_table(crawled_dir, f"blocked-{digest}.parquet", bt)
-        tally = (df.groupby(["partition", "blocked"], sort=False)
-                 .size().rename("n").reset_index())
-        tally["partition"] = tally["partition"].astype("int64")
-        tally["n"] = tally["n"].astype("int64")
-        return tally
-
-    return emit
+def read_timings(ckpt_dir: str) -> list[dict[str, float]]:
+    """Each committed round's ``timings/`` table as ``{phase: seconds}``,
+    for the rounds 0, 1, … that ran (round r's sit in ``round=r+1``)."""
+    out = []
+    for r in range(1, ckpt.last_committed_round(ckpt_dir) + 1):
+        p = os.path.join(ckpt.round_dir(ckpt_dir, r), "timings")
+        if os.path.isdir(p):
+            t = pq.read_table(p)
+            out.append(dict(zip(t["phase"].to_pylist(), t["seconds"].to_pylist())))
+    return out
 
 
 def bootstrap(seeds: pa.Table, robots_df: pd.DataFrame, cfg: EngineConfig,
               ckpt_dir: str) -> None:
     """Round-0 checkpoint from the seed table (driver-side; seeds are tiny —
-    the reference's start_urls.yaml scale)."""
+    the reference's start_urls.yaml scale), keyed by host bucket like every
+    later round."""
+    from ..canonical import stable_hash
+    from ..stages.parse import PARSED_SCHEMA
+
+    P = cfg.num_partitions
     robots_map = {h: tuple(p) for h, p in zip(robots_df["host"], robots_df["disallow_prefixes"])}
     rows, crawled, seen_rows = [], [], []
     seen: set[str] = set()
@@ -324,8 +451,9 @@ def bootstrap(seeds: pa.Table, robots_df: pd.DataFrame, cfg: EngineConfig,
             continue
         seen.add(cu)
         host = host_of(cu)
-        part = partition_of(cu, cfg.num_partitions)
-        seen_rows.append({"url": cu, "partition": part, "seen_round": 0})
+        part = partition_of(cu, P)
+        hb = stable_hash(host) % P
+        seen_rows.append({"url": cu, "partition": part, "seen_round": 0, "hb": hb})
         path = cu.split(host, 1)[1] if host in cu else "/"
         if any(path.startswith(p) for p in robots_map.get(host, ())):
             crawled.append({"url": cu, "host": host, "depth": 0, "priority": prio,
@@ -334,105 +462,35 @@ def bootstrap(seeds: pa.Table, robots_df: pd.DataFrame, cfg: EngineConfig,
                             "n_links": 0, "links": [], "partition": part})
             continue
         rows.append({"url": cu, "host": host, "depth": 0, "priority": prio,
-                     "discovered_round": 0, "parent_url": "", "partition": part})
+                     "discovered_round": 0, "parent_url": "", "partition": part,
+                     "hb": hb})
 
     rd0 = ckpt.round_dir(ckpt_dir, 0)
     os.makedirs(rd0, exist_ok=True)
-    frontier_t = (
-        pa.Table.from_pylist(rows).cast(schemas.FRONTIER) if rows
-        else schemas.FRONTIER.empty_table()
-    )
-    _write_ds_into(os.path.join(rd0, "frontier"), frontier_t, "seed")
-    seen_t = pa.Table.from_pylist(seen_rows).cast(schemas.SEEN) if seen_rows else schemas.SEEN.empty_table()
-    _write_ds_into(os.path.join(rd0, "seen_delta"),
-                   seen_t.sort_by([("partition", "ascending"), ("url", "ascending")]),
-                   "seed")
-    by_part: dict[int, list[str]] = {}
+    for sub, recs, schema in (("frontier", rows, schemas.FRONTIER),
+                              ("seen_delta", seen_rows, schemas.SEEN)):
+        t = pa.Table.from_pylist(recs) if recs else None
+        for b in sorted({r["hb"] for r in recs}):
+            part = t.filter(pc.equal(t["hb"], b)).select(schema.names).cast(schema)
+            if sub == "seen_delta":
+                part = part.sort_by("url")
+            _atomic_write_table(os.path.join(rd0, sub),
+                                _bucket_name(b, "new"), part)
+    if not seen_rows:
+        _atomic_write_table(os.path.join(rd0, "seen_delta"), "empty.parquet",
+                            schemas.SEEN.empty_table())
+    by_bucket: dict[int, list[str]] = {}
     for row in seen_rows:
-        by_part.setdefault(row["partition"], []).append(row["url"])
+        by_bucket.setdefault(row["hb"], []).append(row["url"])
     seenfilter.seed_filters(os.path.join(rd0, "seen_filter"), cfg.seen_filter,
-                            cfg.seen_capacity, cfg.num_partitions, by_part)
+                            cfg.seen_capacity, P, by_bucket)
     if crawled:
-        from ..stages.parse import PARSED_SCHEMA
-
         ct = pa.Table.from_pylist(crawled).select(PARSED_SCHEMA.names).cast(PARSED_SCHEMA)
-        _write_ds_into(os.path.join(rd0, "crawled"), ct, "blocked")
+        _atomic_write_table(os.path.join(rd0, "crawled"), "blocked.parquet", ct)
     # empty hive-partitioned host-state (hb=<b>/ dirs appear as hosts do)
     os.makedirs(os.path.join(rd0, "host_state"), exist_ok=True)
     ckpt.write_manifest(ckpt_dir, _layout(cfg))
     ckpt.commit_round(ckpt_dir, 0)
-
-
-def _update_host_state(old_dir: str, sel_counts: pd.DataFrame, new_dir: str,
-                       num_partitions: int, delays: dict[str, int],
-                       rnd: int, round_ms: int) -> None:
-    """Fold this round's per-host selection counts into the host state
-    table — ``(host, next_seq, next_allowed_ms)`` kept hive-partitioned by
-    ``hb = hash(host) % P``.  ``next_allowed_ms`` is the host's continuous
-    politeness clock (Scrapy's per-slot ``next_request_time``, see
-    ``stages/politeness.py``): a host that fetched ``n`` URLs this round
-    advances to ``max(old_clock, rnd·round_ms) + n·delay``, carrying any
-    fractional-round remainder into the next round.
-
-    Driver cost is O(hosts ACTIVE this round) — politeness-bounded — never
-    O(all hosts ever seen): only buckets containing an active host are
-    read+rewritten; untouched buckets carry forward as HARDLINKS (a file op,
-    no data read — an idle host's stale clock is a no-op under the max()
-    rule).  ``sel_counts`` is the (host, n) frame of this round's
-    selections — the same bounded size as the selection itself."""
-    from ..canonical import stable_hash
-
-    os.makedirs(new_dir, exist_ok=True)
-    by_bucket: dict[int, pd.DataFrame] = {}
-    if len(sel_counts):
-        sel_counts = sel_counts.copy()
-        sel_counts["hb"] = [stable_hash(h) % num_partitions
-                            for h in sel_counts["host"]]
-        by_bucket = {int(b): g for b, g in sel_counts.groupby("hb", sort=False)}
-
-    old_buckets: dict[int, str] = {}
-    if os.path.isdir(old_dir):
-        for d in os.listdir(old_dir):
-            if d.startswith("hb="):
-                old_buckets[int(d.split("=", 1)[1])] = os.path.join(old_dir, d)
-
-    default_delay = delays["__default__"]
-    for b in sorted(set(by_bucket) | set(old_buckets)):
-        src = old_buckets.get(b)
-        dst = os.path.join(new_dir, f"hb={b}")
-        if b not in by_bucket:
-            # untouched bucket: hardlink files forward — zero data read
-            os.makedirs(dst, exist_ok=True)
-            for f in os.listdir(src):
-                if f.endswith(".parquet"):
-                    os.link(os.path.join(src, f), os.path.join(dst, f))
-            continue
-        if src is not None:
-            old = pq.read_table(src).to_pandas()
-            if "next_allowed_ms" not in old.columns:  # pre-carryover ckpt
-                old["next_allowed_ms"] = 0
-            old = old[["host", "next_seq", "next_allowed_ms"]]
-        else:
-            old = pd.DataFrame({"host": pd.Series(dtype=object),
-                                "next_seq": pd.Series(dtype="int64"),
-                                "next_allowed_ms": pd.Series(dtype="int64")})
-        add = by_bucket[b][["host", "n"]]
-        merged = old.merge(add, on="host", how="outer")
-        merged["n"] = merged["n"].fillna(0).astype("int64")
-        merged["next_seq"] = (merged["next_seq"].fillna(0).astype("int64")
-                              + merged["n"])
-        merged["next_allowed_ms"] = merged["next_allowed_ms"].fillna(0).astype("int64")
-        active = merged["n"] > 0
-        if active.any():
-            delay = merged["host"].map(lambda h: delays.get(h, default_delay))
-            start = merged["next_allowed_ms"].clip(lower=rnd * round_ms)
-            merged.loc[active, "next_allowed_ms"] = (
-                start + merged["n"] * delay)[active].astype("int64")
-        merged = (merged[["host", "next_seq", "next_allowed_ms"]]
-                  .sort_values("host", kind="mergesort").reset_index(drop=True))
-        os.makedirs(dst, exist_ok=True)
-        pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
-                       os.path.join(dst, "state-0.parquet"))
 
 
 def run_crawl(
@@ -444,7 +502,8 @@ def run_crawl(
     resume: bool = True,
 ) -> dict:
     """Run (or resume) the crawl to completion; returns summary paths/counts
-    and ``phase_s``: one ``{phase: seconds}`` dict per round this call ran.
+    and ``phase_s``: one ``{phase: seconds}`` dict per round this call ran,
+    equal to the ``timings/`` table each round persisted.
 
     ``pages_root`` must be the hash-bucketed corpus layout produced by
     :func:`borges_ray.stages.fetch.write_pages_bucketed`.
@@ -462,16 +521,7 @@ def run_crawl(
     else:
         ckpt.check_manifest(ckpt_dir, _layout(cfg))
 
-    # URL-seen state is the committed checkpoint itself: each round's
-    # partition tasks load that round's seen_filter files and confirm filter
-    # positives against the committed seen_delta files, whose list is kept
-    # here (resolved once, then extended as rounds commit) — no actor, no
-    # re-hash of history on resume.
-    seen_files = [
-        f for r in range(last + 1) for f in _seen_delta_files(ckpt_dir, r)]
-
-    delays = delays_from_robots(robots_df, cfg.default_delay_ms)
-    delays_ref = ray.put(delays)
+    delays_ref = ray.put(delays_from_robots(robots_df, cfg.default_delay_ms))
     _alw = (robots_df["allow_prefixes"]
             if "allow_prefixes" in robots_df.columns
             else [()] * len(robots_df))
@@ -480,15 +530,23 @@ def run_crawl(
          zip(robots_df["host"], robots_df["disallow_prefixes"], _alw)}
     )
 
-    def _fetch_parse(sel: rd.Dataset, rnd_tag: int) -> rd.Dataset:
-        """Fetch-join + parse for one round's selection, pinned.  With a
+    def fetch_parse(sel: rd.Dataset, rnd: int, next_dir: str) -> pd.DataFrame:
+        """B: the pinned selection → request middlewares → fetch → response
+        middlewares → parse → task-side crawled + candidate writes; ONE
+        execution, whose output is the per-partition fetch tally.  With a
         key pool configured, fetch runs on session actors (T2/S13); with
         ``render``, on browser-handle actors (S12) — identical rows,
         bookkeeping columns dropped before parse."""
+        # the selection arrives as one small block per host bucket; bundling
+        # them into batches of up to parse_block_rows rows first runs every
+        # later operator (the fetch shuffle above all) on a few blocks
+        # instead of num_partitions, which halves B at polite-round sizes
+        sel = sel.map_batches(_identity, batch_format="pyarrow",
+                              batch_size=cfg.parse_block_rows or None)
         for mw in cfg.request_middlewares:
             sel = sel.map_batches(mw, batch_format="pyarrow")
         if cfg.fetcher is not None:
-            fetched = cfg.fetcher(sel, cfg, rnd_tag)
+            fetched = cfg.fetcher(sel, cfg, rnd)
         elif cfg.render:
             from ..stages.fetch import fetch_selected_render
 
@@ -506,173 +564,54 @@ def run_crawl(
                                      flaky=cfg.flaky)
         for mw in cfg.response_middlewares:
             fetched = fetched.map_batches(mw, batch_format="pyarrow")
-        # The fetch emits ONE block per corpus bucket, so parse parallelism
-        # was capped at num_buckets and skewed by the hottest bucket (a
-        # single 3k-row block serialized 5+ s of per-page extraction).
-        # A split-only streaming repartition rebalances fetched html into
-        # ~parse_block_rows-row blocks — no all-to-all, bounded payload
-        # (the selection is politeness-bounded) — so parse scales with
-        # CPUs, not buckets.
+        # The fetch emits ONE block per corpus bucket; a split-only streaming
+        # repartition rebalances the fetched html into ~parse_block_rows-row
+        # blocks — no all-to-all, bounded payload (the selection is
+        # politeness-bounded) — so parse scales with CPUs, not buckets.
         if cfg.parse_block_rows:
             fetched = fetched.repartition(
                 target_num_rows_per_block=cfg.parse_block_rows)
-        return parse_fetched(fetched, rnd_tag).materialize()
-
-    def _read_frontier(round_dir: str) -> rd.Dataset:
-        # metadata-driven scan blocks: bytes-scaled at design scale, small
-        # for a ~1 MB sandbox frontier (see _scan_blocks)
-        path = os.path.join(round_dir, "frontier")
-        return rd.read_parquet(
-            path, override_num_blocks=_scan_blocks(path, cfg.num_partitions))
-
-    def _select(frontier: rd.Dataset, round_dir: str, r: int) -> rd.Dataset:
-        # The selection is politeness-BOUNDED (≤ budget × hosts rows), so
-        # pinning it in the object store is safe and saves a write→read
-        # round trip.  Host counters come from the partitioned host-state
-        # checkpoint — the driver never holds a hosts dict.
-        return select_frontier(frontier, delays_ref,
-                               os.path.join(round_dir, "host_state"),
-                               num_partitions=cfg.num_partitions, rnd=r,
-                               night_shift=cfg.night_shift,
-                               round_ms=cfg.round_ms).materialize()
-
-    def _prefetch(frontier: rd.Dataset, round_dir: str, r: int, times: dict):
-        # round r's selection AND fetch-join + parse, run while round r-1's
-        # tail finishes.  Nothing is persisted (round r writes the pinned
-        # results itself), so crash/resume semantics are unchanged.  Timed
-        # in round r-1's ``times`` under ``prefetch_*``: that is the wall
-        # they overlap, and round r times only its wait for them.
-        selected = _timed(times, "prefetch_select", _select, frontier,
-                          round_dir, r)
-        return selected, _timed(times, "prefetch_fetch_parse", _fetch_parse,
-                                selected, r)
-
-    def _host_state(selected: rd.Dataset, this_dir: str, next_dir: str,
-                    r: int) -> pd.Series:
-        # ONE small combiner pass over the pinned selection counts it per
-        # (host, partition): the per-host sums fold into the partitioned
-        # counter/clock table (politeness-BOUNDED, never O(all hosts)); the
-        # per-partition sums are the METRICS ``selected`` column.
-        parts = _tally_frame(selected.map_batches(
-            lambda df: df.groupby(["host", "partition"], sort=False)
-                         .size().rename("n").reset_index(),
-            batch_format="pandas").to_pandas(),
-            host=object, partition="int64", n="int64")
-        _update_host_state(os.path.join(this_dir, "host_state"),
-                           parts.groupby("host", sort=False)["n"].sum().reset_index(),
-                           os.path.join(next_dir, "host_state"),
-                           cfg.num_partitions, delays, r, cfg.round_ms)
-        return parts.groupby("partition")["n"].sum()
-
-    def _gate_split(parsed: rd.Dataset, this_dir: str, next_dir: str,
-                    r: int) -> pd.DataFrame:
-        # link candidates → per-partition winner + seen + robots gate → FUSED
-        # split: ONE execution over the gated rows in which each task writes
-        # its own block's frontier/seen/blocked parquet files (content-digest
-        # names → idempotent under task retry) and returns only
-        # (partition, blocked, n) tally rows; the gated rows are never pinned.
-        # Partition tasks write next round's seen filters; partitions with
-        # no candidates carry theirs forward.
-        seen = seenfilter.SeenFilters(
-            cfg.seen_filter, cfg.seen_capacity,
-            os.path.join(this_dir, "seen_filter"),
-            os.path.join(next_dir, "seen_filter"), tuple(seen_files))
-        os.makedirs(seen.dst, exist_ok=True)
-        tally = pd.DataFrame()
-        if parsed.count():
-            gated = gate_links(
-                parsed.select_columns(["url", "status", "priority", "depth", "links"]),
-                seen, robots_ref, r + 1, cfg.num_partitions, cfg.max_depth)
-            dirs = [os.path.join(next_dir, d)
-                    for d in ("frontier", "seen_delta", "crawled")]
-            for d in dirs:
-                os.makedirs(d, exist_ok=True)
-            tally = gated.map_batches(_make_split_emit(r, *dirs),
-                                      batch_format="pandas").to_pandas()
-        seenfilter.carry_forward(seen.src, seen.dst, cfg.num_partitions)
-        if not len(tally):
-            _write_ds_into(os.path.join(next_dir, "seen_delta"),
-                           schemas.SEEN.empty_table(), "links")
-        return _tally_frame(tally, partition="int64", blocked=bool, n="int64")
+        return parse_fetched(fetched, rnd).map_batches(
+            _crawled_and_candidates(rnd, next_dir, cfg.num_partitions,
+                                    cfg.max_depth),
+            batch_format="pyarrow").to_pandas()
 
     # --- the round loop ----------------------------------------------------
-    # The overlapped phases of a round run as futures (*) on ONE executor
-    # that lives as long as this call; each dependency is the place its
-    # ``.result()`` is taken:
-    #
-    #   select ─┬─► host_state* ──────────────────────┬─► prefetch r+1*
-    #           ├─► write_sel ──► defer* ─────────────┤   (select + fetch_parse)
-    #           └─► fetch_parse ─┬─► gate_split ──────┘
-    #                            └─► write_crawled* ──► metrics ──► commit
-    #
-    # Round r+1's prefetch needs round r+1's full frontier (deferred + new)
-    # and host state, so it is submitted once defer, gate_split and
-    # host_state are done, and overlaps round r's metrics + commit; round
-    # r+1 takes its result instead of running select + fetch_parse itself.
-    # The ``finally`` cancels futures not yet started and waits for running
-    # ones, so on success or error no phase outlives the call (a resume
-    # never races a writer of the uncommitted round).  Each round's times
-    # also carry ``total`` (its wall seconds, start to commit), so
-    # Σphase / total is the round's overlap.
+    # Serial, two executions a round: B (fetch + parse) then CA (per-bucket
+    # gate of round r's links + selection of round r+1), then metrics and
+    # the commit.  The first round of a call runs a standalone A first.
     phase_s: list[dict[str, float]] = []
-    prefetch = None  # this round's (frontier, Future[(selected, parsed)])
+    selected = None
     rnd = last
-    pool = ThreadPoolExecutor(max_workers=4, thread_name_prefix="borges-round")
-    try:
-        while rnd < cfg.max_rounds:
-            this_dir = ckpt.round_dir(ckpt_dir, rnd)
-            next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
-            frontier_size = _count_rows(os.path.join(this_dir, "frontier"))
-            if frontier_size == 0:
-                break
-            os.makedirs(next_dir, exist_ok=True)
-            t_round, times = time.perf_counter(), {}
-            phase_s.append(times)
-            if prefetch is not None:
-                frontier, fut = prefetch
-                selected, parsed = _timed(times, "prefetch_wait", fut.result)
-                prefetch = None
-            else:
-                frontier, parsed = _read_frontier(this_dir), None
-                selected = _timed(times, "select", _select, frontier, this_dir, rnd)
-
-            hs = pool.submit(_timed, times, "host_state", _host_state,
-                             selected, this_dir, next_dir, rnd)
-            # hive-partitioned by the url-hash partition: the deferral scan
-            # reads per-partition membership slices instead of a broadcast
-            # set.  Coalesce blocks first — the hive write fans out
-            # blocks×partitions files otherwise
-            sel_dir = os.path.join(next_dir, "selected")
-            _timed(times, "write_sel", selected.repartition(2).write_parquet,
-                   sel_dir, partition_cols=["partition"])
-            defer = pool.submit(_timed, times, "defer", _write_ds_into,
-                                os.path.join(next_dir, "frontier"),
-                                defer_frontier(frontier, sel_dir), "deferred")
-            if parsed is None:
-                parsed = _timed(times, "fetch_parse", _fetch_parse, selected, rnd)
-            wc = pool.submit(_timed, times, "write_crawled", _write_crawled,
-                             parsed, os.path.join(next_dir, "crawled"))
-            split_tally = _timed(times, "gate_split", _gate_split, parsed,
-                                 this_dir, next_dir, rnd)
-
-            defer.result()
-            sel_tally = hs.result()
-            if (rnd + 1 < cfg.max_rounds
-                    and _count_rows(os.path.join(next_dir, "frontier"))):
-                nf = _read_frontier(next_dir)
-                prefetch = (nf, pool.submit(_prefetch, nf, next_dir, rnd + 1,
-                                            times))
-            fetch_tally = wc.result()
-            _timed(times, "metrics", lambda: _write_ds_into(
-                os.path.join(next_dir, "metrics"),
-                _round_metrics(rnd, cfg.num_partitions, frontier_size,
-                               sel_tally, fetch_tally, split_tally), "m"))
-            _timed(times, "commit", ckpt.commit_round, ckpt_dir, rnd + 1)
-            seen_files += _seen_delta_files(ckpt_dir, rnd + 1)
-            times["total"] = round(time.perf_counter() - t_round, 4)
-            rnd += 1
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    while rnd < cfg.max_rounds:
+        this_dir = ckpt.round_dir(ckpt_dir, rnd)
+        next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
+        frontier_size = _count_rows(os.path.join(this_dir, "frontier"))
+        if frontier_size == 0:
+            break
+        os.makedirs(next_dir, exist_ok=True)
+        t_round, times = time.perf_counter(), {}
+        if selected is None:
+            selected = _timed(times, "select", _bucket_round, ckpt_dir, cfg,
+                              robots_ref, delays_ref, None, rnd)
+        fetch_tally = pd.DataFrame()
+        if selected.count():  # metadata of the pinned blocks: no execution
+            fetch_tally = _timed(times, "fetch_parse", fetch_parse, selected,
+                                 rnd, next_dir)
+        else:
+            times["fetch_parse"] = 0.0
+        selected = _timed(times, "gate_select", _bucket_round, ckpt_dir, cfg,
+                          robots_ref, delays_ref, rnd,
+                          rnd + 1 if rnd + 1 < cfg.max_rounds else None)
+        _timed(times, "metrics", _write_metrics, next_dir, rnd,
+               cfg.num_partitions, frontier_size, fetch_tally)
+        times["total"] = round(time.perf_counter() - t_round, 4)
+        _write_timings(next_dir, times)
+        ckpt.commit_round(ckpt_dir, rnd + 1)
+        phase_s.append(times)
+        rnd += 1
+    # round r+2's pre-written selection state of a crawl that stopped early
+    ckpt.clean_uncommitted(ckpt_dir)
 
     return {
         "ckpt_dir": ckpt_dir,
@@ -683,6 +622,21 @@ def run_crawl(
         ),
         "phase_s": phase_s,
     }
+
+
+def _write_metrics(next_dir: str, rnd: int, num_partitions: int,
+                   frontier_size: int, fetch_tally: pd.DataFrame) -> None:
+    """Round ``rnd``'s METRICS into ``next_dir``; a round that saw no new
+    url still gets a (empty) ``seen_delta`` file, so every committed round
+    has a readable seen table."""
+    seen_dir = os.path.join(next_dir, "seen_delta")
+    if not any(not f.startswith(".") for f in (
+            os.listdir(seen_dir) if os.path.isdir(seen_dir) else ())):
+        _atomic_write_table(seen_dir, "empty.parquet", schemas.SEEN.empty_table())
+    _atomic_write_table(
+        os.path.join(next_dir, "metrics"), "part-0.parquet",
+        _round_metrics(rnd, num_partitions, frontier_size, fetch_tally,
+                       os.path.join(next_dir, "tally")))
 
 
 def collect_crawled(ckpt_dir: str) -> pa.Table:
@@ -766,10 +720,12 @@ def _main() -> None:
     by_status = crawled["status"].value_counts().to_dict()
     print(f"rounds={summary['rounds']} crawled={len(crawled)} "
           f"statuses={by_status} ckpt={os.path.join(work, 'ckpt')}")
-    # median seconds of each round phase, to find a slow one
-    phases = dict.fromkeys(k for times in summary["phase_s"] for k in times)
+    # median seconds of each round phase, read back from the checkpoint's
+    # timings tables (every committed round, this call's and earlier ones)
+    timings = read_timings(os.path.join(work, "ckpt"))
+    phases = dict.fromkeys(k for times in timings for k in times)
     print("phase_s_p50 " + " ".join(
-        f"{k}={statistics.median(t[k] for t in summary['phase_s'] if k in t):.3f}"
+        f"{k}={statistics.median(t[k] for t in timings if k in t):.3f}"
         for k in phases))
     ray.shutdown()
 

@@ -369,10 +369,11 @@ class HttpFetchSession:
     fetched through it, paced by a per-host token bucket.
 
     The transport is INJECTABLE: pass ``transport(url) -> (status,
-    body)``.  With ``transport=None`` the actor builds a stdlib ``urllib``
-    opener and performs real GETs — the production path: an HTTP error
-    answer keeps its status (a 404 is not retried), a transport failure
-    is 599, and body bytes pass through undecoded.  The tests drive it
+    body)`` or ``(status, body, retry_after_s)``.  With ``transport=None``
+    the actor builds a stdlib ``urllib`` opener and performs real GETs —
+    the production path: an HTTP error answer keeps its status (a 404 is
+    not retried) and its ``Retry-After`` seconds, a transport failure is
+    599, and body bytes pass through undecoded.  The tests drive it
     against a loopback ``http.server`` and inject deterministic transports
     to assert pacing + contract.
 
@@ -380,9 +381,15 @@ class HttpFetchSession:
     slot is taken when its request is SENT, so consecutive sends to one
     host are at least the interval apart however long other hosts'
     requests took.  Hosts are served in the order they come free, each
-    host's rows in selection order; a retry (5xx / transport error) waits
-    a full interval behind its host's last send while other hosts' rows
-    go ahead on their own schedule.
+    host's rows in selection order; a retry (5xx / transport error) goes
+    back to the head of its host's queue and waits behind its failed
+    attempt's send a gap that doubles per attempt — ``min_interval_ms``
+    (at least ``RETRY_BASE_MS``), then twice that, … capped at
+    ``RETRY_CAP_MS`` but never below the interval (the reference widens
+    its wait 0.1 → 5 s, ``Borges/spiders/Elsevier/paper_xml.py:137-173``)
+    — while other hosts' rows go ahead on their own schedule.  A
+    ``Retry-After`` answer holds the host until that many seconds after
+    the answer arrived.
     With ``sleep=True`` the actor really waits on the monotonic clock
     (deployment); with ``False`` the clock is virtual (``clock_ms``, which
     an injected transport may advance to model latency) and nothing
@@ -390,6 +397,9 @@ class HttpFetchSession:
     ``sched_ms`` is each row's first send time.  Output rows keep the
     selection order.
     """
+
+    RETRY_BASE_MS = 100.0
+    RETRY_CAP_MS = 5000.0
 
     def __init__(self, transport=None, *, min_interval_ms: int = 1000,
                  max_attempts: int = MAX_FETCH_ATTEMPTS,
@@ -401,16 +411,18 @@ class HttpFetchSession:
             opener = urllib.request.build_opener()
             opener.addheaders = list(headers) or opener.addheaders
 
-            def transport(url: str) -> tuple[int, bytes | None]:
-                # raw body bytes; an HTTP error answer keeps its status
+            def transport(url: str) -> tuple[int, bytes | None, float | None]:
+                # raw body bytes; an HTTP error answer keeps its status and
+                # its Retry-After (delta-seconds form; an HTTP-date is ignored)
                 try:
                     with opener.open(url, timeout=timeout_s) as r:
-                        return r.status, r.read()
+                        return r.status, r.read(), None
                 except urllib.error.HTTPError as e:
+                    ra = (e.headers.get("Retry-After") or "").strip()
                     e.close()
-                    return e.code, None
+                    return e.code, None, float(ra) if ra.isdigit() else None
                 except Exception:
-                    return 599, None
+                    return 599, None, None
 
         self.transport = transport
         self.min_interval_ms = int(min_interval_ms)
@@ -418,6 +430,20 @@ class HttpFetchSession:
         self.sleep = bool(sleep)
         self.next_allowed: dict[str, float] = {}
         self.clock_ms = 0.0
+
+    def retry_gap_ms(self, attempt: int) -> float:
+        """Wait between failed attempt ``attempt`` (1-based) and the
+        retry's send: doubling per attempt from the interval (at least
+        ``RETRY_BASE_MS``), capped at ``RETRY_CAP_MS``, never below the
+        interval."""
+        base = max(self.min_interval_ms, self.RETRY_BASE_MS)
+        return max(self.min_interval_ms,
+                   min(base * 2 ** (attempt - 1), self.RETRY_CAP_MS))
+
+    def _now(self) -> float:
+        import time as _time
+
+        return self.clock_ms if not self.sleep else _time.monotonic() * 1000.0
 
     def _wait_until(self, at: float) -> float:
         """Wait until ``at`` and return the send time.  With ``sleep=True``
@@ -429,10 +455,10 @@ class HttpFetchSession:
         if not self.sleep:
             self.clock_ms = max(self.clock_ms, at)
             return self.clock_ms
-        wait = at - _time.monotonic() * 1000.0
+        wait = at - self._now()
         if wait > 0:
             _time.sleep(wait / 1000.0)
-        return _time.monotonic() * 1000.0
+        return self._now()
 
     def __call__(self, t: pa.Table) -> pa.Table:
         import heapq
@@ -461,14 +487,19 @@ class HttpFetchSession:
             at, i, h = heapq.heappop(ready)
             queues[h].popleft()
             sent = self._wait_until(at)
-            self.next_allowed[h] = sent + self.min_interval_ms
             if attempts[i] == 0:
                 sched[i] = sent
-            s, bodies[i] = self.transport(urls[i])
+            s, bodies[i], *rest = self.transport(urls[i])
             statuses[i] = int(s)
             attempts[i] += 1
+            gap = self.min_interval_ms
             if s not in (200, 404) and attempts[i] < self.max_attempts:
                 queues[h].appendleft(i)
+                gap = self.retry_gap_ms(attempts[i])
+            self.next_allowed[h] = sent + gap
+            if rest and rest[0] is not None:  # Retry-After, in seconds
+                self.next_allowed[h] = max(self.next_allowed[h],
+                                           self._now() + 1000.0 * rest[0])
             if queues[h]:
                 heapq.heappush(ready, (self.next_allowed[h], queues[h][0], h))
         htmls = [

@@ -1,4 +1,5 @@
-"""Politeness selection: per-host crawl-delay budgets as a Ray Data stage.
+"""Politeness selection: per-host crawl-delay budgets, one host bucket at a
+time.
 
 The reference throttles per-domain with ``DOWNLOAD_DELAY = 1``
 (``Borges/settings.py:31``) plus assorted per-site sleeps (SURVEY.md T4).
@@ -14,35 +15,49 @@ per-round integer budget would allow.  After ``k`` fetches the clock
 advances to ``start + k·delay``, carrying the fractional remainder into
 the next round.
 
-Scale shape (SURVEY.md §7.2 step 4):
+State key: the host bucket ``hb = stable_hash(host) % P``.  The crawl keeps
+each bucket's frontier slice and host-state slice (``host_state/hb=<b>/``)
+apart, so ONE task per bucket holds every row and every clock of its
+hosts and applies the exact carry-over rule with no combiner and no
+shuffle: :func:`select_bucket`, called by the engine's per-bucket select
+step (``pipelines/crawl.py``).  It returns the selection with ``host_seq``
+assigned, the deferred rows (written sorted by host, priority desc,
+discovered_round, url — each host's head first, Mercator's per-host back
+queue) and the bucket's next host state.
 
-1. **Combiner pass** (``map_batches``, no shuffle): each block keeps only
-   its per-host top-``budget`` rows ordered by (priority desc,
-   discovered_round asc, url asc).  The subsequent shuffle therefore moves
-   ≤ budget × blocks rows per host — never the whole frontier.
-2. **Final select** (``groupby(host-bucket).map_groups``): merge the
-   per-block candidates, take the global top-``budget`` per host, and
-   assign ``host_seq`` continuing from the per-host counters — read from
-   the hive-partitioned host-state checkpoint one ``hb=<b>/`` slice per
-   group (never a driver-side dict over all hosts).
-3. **Deferral** is a second streaming scan of the frontier subtracting the
-   selected urls via per-``partition`` membership files — the big table is
-   scanned, never shuffled, and no global set is broadcast.
+Skew: a Zipf-head host's whole backlog sits in one bucket task.
+Politeness bounds what that host is SELECTED per round, not what its
+bucket holds; splitting a hot bucket is not done here.
 
-Skew note: a hot host (the Zipf head / JPDAP fixture) is bounded by its
-budget, so the map_groups group is at most candidates = budget × blocks
-rows — politeness itself is the skew cap.  The frontier Parquet is
-partitioned by ``hash(url)``, so no host monopolizes an input block.
+:func:`select_frontier` and :func:`defer_frontier` are the Dataset-level
+select (combiner → ``groupby(hb)``) and deferral the benchmark's stage
+replay still runs; the crawl does not.  ``select_frontier``'s per-group
+pass calls :func:`select_bucket`, so the carry-over rule exists once.
 """
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-ORDER_COLS = ["priority", "discovered_round", "url"]
-ORDER_ASC = [False, True, True]
+from .. import schemas
+
+ORDER = [("priority", "descending"), ("discovered_round", "ascending"),
+         ("url", "ascending")]
+
+#: selected frontier rows: the FRONTIER columns plus the per-host fetch order
+SELECTED = schemas.FRONTIER.append(pa.field("host_seq", pa.int64()))
+
+#: one bucket's politeness state: per-host sequence counter and clock
+HOST_STATE = pa.schema([("host", pa.string()), ("next_seq", pa.int64()),
+                        ("next_allowed_ms", pa.int64())])
 
 
 def host_active(host: str, rnd: int, night_shift: bool) -> bool:
@@ -61,143 +76,135 @@ def host_active(host: str, rnd: int, night_shift: bool) -> bool:
 def delays_from_robots(robots_df: pd.DataFrame, default_delay_ms: int) -> dict[str, int]:
     """host → crawl delay in virtual ms (``__default__`` for unlisted
     hosts).  Per-round budgets are DERIVED from these at selection time
-    against each host's carried virtual clock — see :func:`select_frontier`."""
+    against each host's carried virtual clock — see :func:`select_bucket`."""
     out = {h: int(d) for h, d in
            zip(robots_df["host"], robots_df["crawl_delay_ms"])}
     out["__default__"] = int(default_delay_ms)
     return out
 
 
-def load_host_offsets(host_state_dir: str, bucket: int | None = None) -> dict[str, tuple[int, int]]:
-    """host → (next_seq, next_allowed_ms) from the hive-partitioned
-    host-state checkpoint; with ``bucket`` set, reads ONLY that ``hb=<b>/``
-    dir (the per-group slice — O(hosts in bucket), not O(all hosts ever
-    seen)).  ``next_allowed_ms`` defaults to 0 for pre-carryover
-    checkpoints (a clock in the past is a no-op under the max() rule)."""
-    import os
+def host_state_dir(root: str, bucket: int) -> str:
+    return os.path.join(root, f"hb={bucket}")
 
-    import pyarrow.parquet as pq
 
-    path = (os.path.join(host_state_dir, f"hb={bucket}")
-            if bucket is not None else host_state_dir)
-    if not os.path.isdir(path):
-        return {}
-    files = [os.path.join(dp, f) for dp, _d, fs in os.walk(path)
-             for f in fs if f.endswith(".parquet")]
+def read_host_state(root: str, bucket: int) -> pa.Table | None:
+    """Bucket ``bucket``'s host-state slice under ``root`` (a round's
+    ``host_state/``), or None if the bucket has no host yet."""
+    path = host_state_dir(root, bucket)
+    files = sorted(f for f in (os.listdir(path) if os.path.isdir(path) else ())
+                   if not f.startswith("."))
     if not files:
-        return {}
-    out: dict[str, tuple[int, int]] = {}
-    for f in files:
-        t = pq.read_table(f)
-        na = (t["next_allowed_ms"].to_pylist()
-              if "next_allowed_ms" in t.column_names else [0] * t.num_rows)
-        out.update(zip(t["host"].to_pylist(),
-                       ((int(s), int(a)) for s, a in
-                        zip(t["next_seq"].to_pylist(), na))))
-    return out
+        return None
+    return pa.concat_tables([pq.ParquetFile(os.path.join(path, f)).read()
+                             for f in files]).cast(HOST_STATE)
+
+
+def select_bucket(frontier: pa.Table, host_state: pa.Table | None,
+                  delays: dict, rnd: int, round_ms: int, night_shift: bool
+                  ) -> tuple[pa.Table, pa.Table, pa.Table | None]:
+    """THE selection kernel: one bucket's frontier rows and host state →
+    ``(selected, deferred, next_host_state)``.
+
+    Per host, the rows are ranked by (priority desc, discovered_round,
+    url) and the first ``budget`` are selected, where budget = the fetch
+    slots of the host's clock in ``[rnd·round_ms, (rnd+1)·round_ms)``;
+    ``host_seq`` continues the host's counter.  With ``night_shift`` a host
+    gated off this round selects nothing.  ``next_host_state`` is the
+    updated slice (sorted by host), or None when no host was selected (the
+    slice is unchanged).  A host with no state starts at counter 0 and a
+    clock in the past, so with ``host_state=None`` every host's budget is
+    the clock-free upper bound ``ceil(round_ms / delay)``: the combiner of
+    :func:`select_frontier` keeps a superset of each host's selection."""
+    t = frontier.sort_by([("host", "ascending")] + ORDER)
+    enc = t["host"].combine_chunks().dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    hosts = enc.dictionary            # distinct hosts, in sorted order
+    n = len(codes)
+    # rows are sorted by host, so each host is one run: rank = row - run start
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) if n else codes
+    rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    default = delays["__default__"]
+    host_list = hosts.to_pylist()
+    delay = np.array([delays.get(h, default) for h in host_list], dtype=np.int64)
+    if host_state is None or not host_state.num_rows:
+        seq0 = clock = np.zeros(len(hosts), dtype=np.int64)
+    else:
+        idx = pc.index_in(hosts, value_set=host_state["host"].combine_chunks())
+        seq0, clock = (pc.fill_null(pc.take(host_state[c].combine_chunks(), idx), 0)
+                       .to_numpy() for c in ("next_seq", "next_allowed_ms"))
+    start = np.maximum(clock, rnd * round_ms)
+    # ceil((end - start) / delay), at most 0 for a clock past the round's end
+    budget = np.maximum(0, -((start - (rnd + 1) * round_ms) // delay))
+    if night_shift:
+        budget[[not host_active(h, rnd, True) for h in host_list]] = 0
+    keep = rank < budget[codes]
+    selected = t.filter(keep).append_column(
+        "host_seq", pa.array((seq0[codes] + rank)[keep], pa.int64()))
+    deferred = t.filter(~keep)
+    taken = np.bincount(codes[keep], minlength=len(hosts))
+    if not taken.any():
+        return selected, deferred, None
+    act = taken > 0
+    upd = pa.table({
+        "host": hosts.filter(pa.array(act)),
+        "next_seq": pa.array((seq0 + taken)[act], pa.int64()),
+        "next_allowed_ms": pa.array((start + taken * delay)[act], pa.int64()),
+    }, schema=HOST_STATE)
+    if host_state is not None and host_state.num_rows:
+        idle = host_state.filter(pc.invert(pc.is_in(host_state["host"],
+                                                    value_set=upd["host"])))
+        upd = pa.concat_tables([idle.cast(HOST_STATE), upd])
+    return selected, deferred, upd.sort_by("host")
 
 
 def select_frontier(
     frontier: rd.Dataset,
     delays_ref: "ray.ObjectRef",
-    host_state_dir: str,
+    host_state_root: str,
     num_partitions: int = 16,
     rnd: int = 0,
     night_shift: bool = False,
     round_ms: int = 10_000,
 ) -> rd.Dataset:
-    """→ selected rows with ``host_seq`` assigned (deterministic).
+    """Dataset-level selection (kept for the benchmark's stage replay; the
+    crawl selects per bucket task): → selected rows with ``host_seq``.
 
-    Plain task functions, not actor pools: the broadcast state is an
-    ``ObjectRef`` resolved per task from the local object store (zero-copy,
-    microseconds after first access) — actor-pool startup latency would
-    dominate the per-round cost for no amortization win.
+    A combiner pass keeps each block's per-host rows under the clock-free
+    bound, a ``groupby`` on the host bucket brings each bucket's
+    candidates together, and the per-group pass runs
+    :func:`select_bucket` against the bucket's ``host_state/hb=<b>/``
+    slice — the same kernel and rule as the crawl."""
+    from ..canonical import host_buckets
+    from ..ops.relational import cached_get
 
-    Host sequence counters AND per-host virtual clocks come from the
-    hive-partitioned host-state checkpoint: the final per-host-bucket group
-    reads ONLY its ``hb=<b>/`` slice — the r01 driver-side dict over every
-    host ever seen is gone (O(total hosts) driver memory at 10^8-host
-    scale).  The combiner pass (which runs before the shuffle and has no
-    host-state slice) uses the clock-free UPPER BOUND ``ceil(round_ms /
-    delay)`` per host; the final per-bucket pass applies the exact
-    carryover rule, so the shuffle still moves ≤ bound × blocks rows per
-    host and the selection is exact."""
+    def combine(t: pa.Table) -> pa.Table:
+        sel, _, _ = select_bucket(t.select(schemas.FRONTIER.names), None,
+                                  cached_get(delays_ref), rnd, round_ms,
+                                  night_shift)
+        return sel.drop_columns(["host_seq"]).append_column(
+            "__hb", pa.array(host_buckets(sel["host"], num_partitions), pa.int64()))
 
-    def _prune(df: pd.DataFrame, delays: dict, offsets: dict | None) -> pd.DataFrame:
-        """Vectorized per-host top-budget: sort once, cumcount per host,
-        keep ranks < budget.  Budget = fetch slots of the host's virtual
-        clock within this round's [rnd·round_ms, (rnd+1)·round_ms) window
-        (upper bound ceil(round_ms/delay) when no clock is available).
-        With ``offsets`` also assigns host_seq."""
-        default = delays["__default__"]
-        if night_shift:
-            hosts = df["host"].unique()
-            lut = {h: host_active(h, rnd, night_shift) for h in hosts}
-            df = df[df["host"].map(lut)]
-        df = df.sort_values(ORDER_COLS, ascending=ORDER_ASC, kind="mergesort")
-        ranks = df.groupby("host", sort=False).cumcount()
-        delay = df["host"].map(lambda h: delays.get(h, default))
-        end = (rnd + 1) * round_ms
-        if offsets is None:
-            budget = -(-round_ms // delay)           # ceil: clock-free bound
-        else:
-            clock = df["host"].map(lambda h: offsets.get(h, (0, 0))[1])
-            start = clock.clip(lower=rnd * round_ms)
-            budget = (-((start - end) // delay)).clip(lower=0)  # ceil((end-start)/delay)
-        out = df[ranks < budget]
-        if offsets is not None:
-            out = out.copy()
-            kept_ranks = ranks[ranks < budget]
-            base = out["host"].map(lambda h: offsets.get(h, (0, 0))[0])
-            out["host_seq"] = (base + kept_ranks).astype("int64")
-        return out
+    def final(t: pa.Table) -> pa.Table:
+        b = int(t["__hb"][0].as_py())
+        sel, _, _ = select_bucket(t.drop_columns(["__hb"]),
+                                  read_host_state(host_state_root, b),
+                                  cached_get(delays_ref), rnd, round_ms,
+                                  night_shift)
+        return sel
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return _prune(df, ray.get(delays_ref), None)
-
-    candidates = frontier.map_batches(combine, batch_format="pandas")
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized pass per host-bucket group — never one call per
-        # host; offsets read from THIS bucket's host-state slice only
-        parts = []
-        for b, g in df.groupby("__hb", sort=False):
-            offsets = load_host_offsets(host_state_dir, int(b))
-            parts.append(_prune(g, ray.get(delays_ref), offsets))
-        if not parts:
-            return _prune(df, ray.get(delays_ref), {})
-        return pd.concat(parts, ignore_index=True)
-
-    # shuffle key: a hash bucket of host (all of one host's candidates
-    # co-locate; hot hosts are already budget-bounded by the combiner)
-    def add_hbucket(df: pd.DataFrame) -> pd.DataFrame:
-        from ..canonical import stable_hash
-
-        hosts = df["host"].unique()
-        lut = {h: stable_hash(h) % num_partitions for h in hosts}
-        out = df.copy()
-        out["__hb"] = df["host"].map(lut)
-        return out
-
-    bucketed = candidates.map_batches(add_hbucket, batch_format="pandas")
-    out = bucketed.groupby("__hb", num_partitions=min(num_partitions, 64)).map_groups(
-        final, batch_format="pandas"
-    )
-    return out.drop_columns(["__hb"])
+    return frontier.map_batches(combine, batch_format="pyarrow").groupby(
+        "__hb", num_partitions=min(num_partitions, 64)).map_groups(
+        final, batch_format="pyarrow")
 
 
 def defer_frontier(frontier: rd.Dataset, sel_dir: str) -> rd.Dataset:
-    """Frontier rows NOT selected this round.
+    """Frontier rows NOT selected this round (kept for the benchmark's
+    stage replay; the crawl's per-bucket select writes its deferred rows
+    itself).
 
     Membership is checked per url-hash partition: the selected set is
-    checkpointed hive-partitioned by the engine's ``partition`` column, and
-    each defer task reads ONLY the ``partition=<p>/`` slices present in its
-    block — O(selected/partitions) per task.  The big frontier is streamed,
-    never shuffled, and no global selected-set is broadcast (the r01
-    driver-side Python set was O(selected) driver memory per round)."""
-    import os
-
-    import pyarrow.parquet as pq
+    written hive-partitioned by the ``partition`` column, and each defer
+    task reads ONLY the ``partition=<p>/`` slices present in its block."""
 
     def _sel_urls(p: int) -> set[str]:
         d = os.path.join(sel_dir, f"partition={p}")

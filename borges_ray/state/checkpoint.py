@@ -1,36 +1,59 @@
-"""Round/partition checkpoint layout with atomic commit markers.
+"""Round checkpoint layout with atomic commit markers.
 
 The reference resumes by querying Mongo for ``{'Crawled': False}``
 (``Borges/spiders/Elsevier/paper_xml.py:203``) — mutable flags in a DB.  Our
-equivalent is immutable round outputs (SURVEY.md §4 "Checkpoint / resume"):
+equivalent is immutable round outputs (SURVEY.md §4 "Checkpoint / resume").
+Every piece of round state is keyed by the host bucket ``b = stable_hash(host)
+% num_partitions`` (``pipelines/crawl.py``), one file per bucket:
 
     ckpt/
       round=0000/
-        crawled/      *.parquet   (fetch results of this round)
-        seen_delta/   *.parquet   (URLs first enqueued during this round,
-                                   sorted by (partition, url))
-        seen_filter/  part-<p>.bits (raw bits of partition p's URL-seen
-                                   filter over seen_delta of rounds 0..r;
-                                   see state/seenfilter.py)
-        frontier/     *.parquet   (the FULL frontier entering round r itself:
-                                   bootstrap writes seeds to round=0/frontier,
-                                   and run_crawl reads round r's frontier as
-                                   that round's input)
-        host_state/   *.parquet   (host, next_seq) entering round r
-        metrics/      *.parquet
-        _MANIFEST                 (round 0 only: the layout settings the
-                                   checkpoint was written with, JSON)
+        frontier/     hb-<b>-new.parquet       (the FULL frontier entering
+                      hb-<b>-deferred.parquet   round r: b's new links of
+                                                round r-1 plus the rows b's
+                                                select left over; flat dir)
+        host_state/   hb=<b>/state-0.parquet   (host, next_seq,
+                                                next_allowed_ms) entering r
+        seen_delta/   hb-<b>-new.parquet       (URLs first enqueued during
+                                                round r-1, sorted by url;
+                                                ``empty.parquet`` in a round
+                                                that saw none; flat dir)
+        seen_filter/  part-<b>.bits            (raw bits of bucket b's
+                                                URL-seen filter over its
+                                                seen_delta of rounds 0..r;
+                                                see state/seenfilter.py)
+        crawled/      fetched-<digest>.parquet (round r-1's fetch results)
+                      hb-<b>-blocked.parquet   (robots-blocked 999 rows)
+        cand/         hb-<b>-<digest>.parquet  (round r-1's link candidates,
+                                                one file per parsed block
+                                                and bucket; the input of the
+                                                gate, kept as lineage)
+        tally/        select-hb-<b>.parquet,   (per-task counts METRICS is
+                      gate-hb-<b>.parquet       built from)
+        metrics/      part-0.parquet           (METRICS of round r-1)
+        timings/      part-0.parquet           (phase, seconds) of round
+                                                r-1, ``total`` included
+        _MANIFEST                 (round 0 only: the layout settings and
+                                   the state key the checkpoint was
+                                   written with, JSON)
         _COMMITTED                (empty marker, written LAST)
 
-Resume = max round with ``_COMMITTED``; the seen filters load from round
-k's ``seen_filter`` files (no history is re-hashed) and confirm against the
-union of ``seen_delta`` over rounds 0..k, the frontier reloads from round k,
-and per-host sequence counters continue from ``host_state`` — a killed job
-replays only the uncommitted round, and replaying is idempotent because
-every output is keyed by (round, url).  A resume whose layout settings
-differ from ``_MANIFEST`` raises instead of mis-routing state.
+Round r's selection step writes the deferred rows, host state and select
+tally of round r+1 — and, when it runs inside round r-1's gate execution,
+it does so into round r+1's dir before round r has committed.  That
+pre-write is safe to lose: a crash before round r commits leaves round r+1
+(and round r) uncommitted, :func:`clean_uncommitted` deletes them, and the
+resume re-runs the selection from committed state.
 
-Writes land in ``_tmp.<name>`` then ``os.rename`` — the marker never
+Resume = max round with ``_COMMITTED``; the seen filters load from round
+k's ``seen_filter`` files (no history is re-hashed) and confirm against
+each bucket's own ``seen_delta`` files of rounds 0..k, the frontier and
+host state reload from round k — a killed job replays only the uncommitted
+round, and replaying is idempotent because every task-side output is keyed
+by its bucket or by a content digest.  A resume whose layout settings (or
+state key) differ from ``_MANIFEST`` raises instead of mis-routing state.
+
+Writes land in a tmp name and then ``os.replace`` — the marker never
 coexists with partial data.
 """
 
@@ -44,7 +67,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 SUBDIRS = ("crawled", "seen_delta", "seen_filter", "frontier", "host_state",
-           "metrics")
+           "cand", "tally", "metrics", "timings")
 MANIFEST = "_MANIFEST"
 
 
@@ -117,6 +140,17 @@ def check_manifest(ckpt: str, layout: dict) -> None:
             raise ValueError(
                 f"checkpoint {ckpt} was written with {k}={stored.get(k)!r}; "
                 f"cannot resume it with {k}={v!r}")
+
+
+def link_file(src: str, dst: str) -> None:
+    """Hard-link ``src`` as ``dst`` (a file op, no data read): atomic, and
+    a retried writer relinks the same inode."""
+    tmp = os.path.join(os.path.dirname(dst),
+                       f".__tmp.{os.path.basename(dst)}.{os.getpid()}")
+    if os.path.exists(tmp):
+        os.remove(tmp)
+    os.link(src, tmp)
+    os.replace(tmp, dst)
 
 
 def commit_round(ckpt: str, rnd: int) -> None:

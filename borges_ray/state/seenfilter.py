@@ -1,26 +1,33 @@
-"""Per-partition URL-seen membership, owned by the task that gates the
-partition — no actor, no shared mutable index.
+"""Per-host-bucket URL-seen membership, owned by the task that gates the
+bucket — no actor, no shared mutable index.
 
-Partition ``p = partition_of(url, P)`` keeps one filter (Bloom, or cuckoo
-with ``seen_filter="cuckoo"``) sized by ``seen_capacity``, persisted as raw
-bits in ``round=r/seen_filter/part-<p>.bits``.  In round r the ONE winner
-``map_groups`` call of partition p (:func:`borges_ray.stages.links.gate_links`)
-runs :func:`check_and_add` on its winners:
+Host bucket ``b = stable_hash(host) % P`` (the crawl's one state key, see
+``pipelines/crawl.py``) keeps one filter (Bloom, or cuckoo with
+``seen_filter="cuckoo"``) sized by ``seen_capacity``, persisted as raw bits
+in ``round=r/seen_filter/part-<b>.bits``.  In round r the ONE task of
+bucket b (:func:`borges_ray.stages.links.gate_bucket`) runs
+:func:`check_and_add` on its winners:
 
 - it loads round r's filter file; a filter negative is new;
-- a filter positive is confirmed exactly against the partition's committed
-  seen history — the ``seen_delta`` files of rounds ≤ r, whose list the
-  driver resolves once per round (rows are written sorted by
-  ``(partition, url)``, so at design scale the probe prunes row groups by
-  their statistics);
+- a filter positive is confirmed exactly against bucket b's OWN committed
+  seen history — its ``seen_delta/hb-<b>-new.parquet`` file of each round
+  ≤ r (:func:`history_files`), rows sorted by url, so at design scale the
+  probe prunes row groups by their statistics; no task opens another
+  bucket's files;
 - it adds the new URLs and writes round r+1's filter file before the
-  round's ``_COMMITTED``.
+  round's ``_COMMITTED``; with nothing new it hard-links round r's file
+  forward (:func:`link_forward`) — a file op, no data read.
 
 The task reads only committed rounds and writes deterministic bytes under a
-deterministic name, so a retried task reproduces its own output.  A
-partition with no candidates in a round carries its file forward by hard
-link (:func:`carry_forward`); resume loads round r's files and re-hashes no
-history.  Memory per task: one filter's bits plus one partition's probe.
+deterministic name, so a retried task reproduces its own output; resume
+loads round r's files and re-hashes no history.  Memory per task: one
+filter's bits plus one bucket's probe.
+
+Skew (not handled here): a Zipf-head host's whole seen set lands in one
+bucket.  Past ``seen_capacity`` keys its Bloom filter's false-positive rate
+rises (positives are still confirmed exactly, so only the confirm cost
+grows), and a cuckoo filter raises ``RuntimeError`` — a loud failure, not a
+silent one.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import pyarrow.fs as pafs
 
 from .. import schemas
 from .bloom import BloomFilter
+from .checkpoint import link_file
 from .cuckoo import CuckooFilter
 
 FILTERS = {"bloom": BloomFilter, "cuckoo": CuckooFilter}
@@ -43,12 +51,12 @@ FILTERS = {"bloom": BloomFilter, "cuckoo": CuckooFilter}
 
 @dataclass(frozen=True)
 class SeenFilters:
-    """One round's URL-seen state, as the partition tasks need it."""
+    """One bucket's URL-seen state for one round, as its task needs it."""
     kind: str                  # "bloom" | "cuckoo"
-    capacity: int              # keys per partition filter
+    capacity: int              # keys per bucket filter
     src: str                   # seen_filter dir entering the round (read)
     dst: str                   # seen_filter dir of the next round (written)
-    history: tuple[str, ...]   # committed seen_delta parquet files
+    history: tuple[str, ...]   # the bucket's committed seen_delta files
 
 
 def new_filter(kind: str, capacity: int):
@@ -57,8 +65,19 @@ def new_filter(kind: str, capacity: int):
     return FILTERS[kind](capacity)
 
 
-def filter_path(dir_: str, p: int) -> str:
-    return os.path.join(dir_, f"part-{p:05d}.bits")
+def filter_path(dir_: str, b: int) -> str:
+    return os.path.join(dir_, f"part-{b:05d}.bits")
+
+
+def seen_file(seen_delta_dir: str, b: int) -> str:
+    """Bucket ``b``'s seen rows of one round (sorted by url)."""
+    return os.path.join(seen_delta_dir, f"hb-{b:05d}-new.parquet")
+
+
+def history_files(seen_delta_dirs, b: int) -> tuple[str, ...]:
+    """Bucket ``b``'s committed seen files among ``seen_delta_dirs``."""
+    return tuple(p for p in (seen_file(d, b) for d in seen_delta_dirs)
+                 if os.path.exists(p))
 
 
 def read_filter(kind: str, capacity: int, path: str):
@@ -75,29 +94,24 @@ def write_filter(filt, path: str) -> None:
     os.replace(tmp, path)
 
 
-def seed_filters(dir_: str, kind: str, capacity: int, num_partitions: int,
-                 urls_by_partition: dict[int, list[str]]) -> None:
-    """Round 0's files: one filter per partition holding its seed URLs."""
+def link_forward(seen: SeenFilters, b: int) -> None:
+    """Round r+1's filter of bucket ``b`` is round r's file, hard-linked."""
+    link_file(filter_path(seen.src, b), filter_path(seen.dst, b))
+
+
+def seed_filters(dir_: str, kind: str, capacity: int, num_buckets: int,
+                 urls_by_bucket: dict[int, list[str]]) -> None:
+    """Round 0's files: one filter per bucket holding its seed URLs."""
     os.makedirs(dir_, exist_ok=True)
-    for p in range(num_partitions):
+    for b in range(num_buckets):
         f = new_filter(kind, capacity)
-        f.add_batch(sorted(urls_by_partition.get(p, ())))
-        write_filter(f, filter_path(dir_, p))
+        f.add_batch(sorted(urls_by_bucket.get(b, ())))
+        write_filter(f, filter_path(dir_, b))
 
 
-def carry_forward(src: str, dst: str, num_partitions: int) -> None:
-    """Hard-link round r's file of every partition whose task wrote no
-    round r+1 file (no candidates this round) — a file op, no data read."""
-    os.makedirs(dst, exist_ok=True)
-    for p in range(num_partitions):
-        out = filter_path(dst, p)
-        if not os.path.exists(out):
-            os.link(filter_path(src, p), out)
-
-
-def in_history(files: tuple[str, ...], p: int, urls: list[str]) -> np.ndarray:
-    """Exact membership of ``urls`` (all in partition ``p``) in the seen
-    history ``files``: one scan filtered by partition and url."""
+def in_history(files: tuple[str, ...], urls: list[str]) -> np.ndarray:
+    """Exact membership of ``urls`` in the seen ``files`` (one bucket's):
+    one scan filtered by url."""
     if not files or not urls:
         return np.zeros(len(urls), dtype=bool)
     probe = pa.array(urls, pa.string())
@@ -107,19 +121,26 @@ def in_history(files: tuple[str, ...], p: int, urls: list[str]) -> np.ndarray:
         list(files), schema=schemas.SEEN, format=pads.ParquetFileFormat(),
         filesystem=pafs.LocalFileSystem(),
     ).to_table(columns=["url"], use_threads=False,
-               filter=(pc.field("partition") == p) & pc.field("url").isin(probe))
+               filter=pc.field("url").isin(probe))
     return pc.is_in(probe, value_set=hits["url"]).to_numpy(zero_copy_only=False)
 
 
-def check_and_add(seen: SeenFilters, p: int, urls: list[str]) -> np.ndarray:
-    """The new-mask of partition ``p``'s distinct candidate ``urls``;
-    writes the partition's next filter with the new ones added."""
-    filt = read_filter(seen.kind, seen.capacity, filter_path(seen.src, p))
+def check_and_add(seen: SeenFilters, b: int, urls: list[str]) -> np.ndarray:
+    """The new-mask of bucket ``b``'s distinct candidate ``urls``; writes
+    the bucket's next filter with the new ones added (or links it forward
+    when none is new)."""
+    if not urls:
+        link_forward(seen, b)
+        return np.zeros(0, dtype=bool)
+    filt = read_filter(seen.kind, seen.capacity, filter_path(seen.src, b))
     maybe = filt.maybe_contains_batch(urls)
     new = ~maybe
     if maybe.any():
         pos = np.flatnonzero(maybe)
-        new[pos] = ~in_history(seen.history, p, [urls[i] for i in pos])
+        new[pos] = ~in_history(seen.history, [urls[i] for i in pos])
+    if not new.any():
+        link_forward(seen, b)
+        return new
     filt.add_batch(sorted(u for u, n in zip(urls, new) if n))
-    write_filter(filt, filter_path(seen.dst, p))
+    write_filter(filt, filter_path(seen.dst, b))
     return new

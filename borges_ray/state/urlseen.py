@@ -1,6 +1,6 @@
 """URL-seen shard actors: Bloom prefilter + exact confirm.
 
-The crawl no longer uses this module: each URL partition's winner task owns
+The crawl no longer uses this module: each host bucket's gate task owns
 its membership (:mod:`borges_ray.state.seenfilter`).  It is kept for the
 benchmark's stage replay (``perfbench/replay.py`` gates through
 ``stages.links.gate_candidates`` on these shards) and for

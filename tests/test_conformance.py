@@ -100,7 +100,7 @@ def test_per_host_order_equality(oracle_result, engine_result):
 
 def test_crawl_runs_without_seen_actors(web, oracle_result, ray_session,
                                         tmp_path, monkeypatch):
-    """URL-seen membership lives in the per-partition winner tasks: with
+    """URL-seen membership lives in the per-host-bucket gate tasks: with
     the shard-actor entry points made to raise, the crawl still completes
     and matches the oracle's seen set and per-host fetch order."""
     from borges_ray.state import urlseen

@@ -1,17 +1,21 @@
 """Round phases of ``run_crawl``: per-phase timings come back in the
-summary, and an exception raised in any phase of a round surfaces from
-``run_crawl`` with no phase still running, after which a resume finishes
-the crawl exactly as an uninterrupted run does."""
+summary and persist in each committed round's ``timings/`` table; a round
+starts at most two Ray Data executions; and an exception raised in any
+phase of a round surfaces from ``run_crawl``, after which a resume
+finishes the crawl exactly as an uninterrupted run does."""
 
 from __future__ import annotations
 
 import os
 import threading
 
+import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from borges_ray.pipelines import crawl
-from borges_ray.pipelines.crawl import EngineConfig, collect_crawled, collect_seen, run_crawl
+from borges_ray.pipelines.crawl import (EngineConfig, collect_crawled, collect_seen,
+                                        read_timings, run_crawl)
 from borges_ray.stages.fetch import fetch_selected, write_pages_bucketed
 from borges_ray.state import checkpoint as ckpt
 from borges_ray.synth import synth_pages, synth_robots, synth_seeds
@@ -20,11 +24,11 @@ N_PAGES = 300
 SEED = 42
 CFG = dict(max_rounds=4, num_partitions=8, num_buckets=4, num_seen_shards=2)
 FAIL_ROUND = 2
-# timed in every round; the first round of a call selects and fetches
-# in-line, later rounds wait on the prefetch the round before launched
-PHASES = {"host_state", "write_sel", "defer", "write_crawled", "gate_split",
-          "metrics", "commit", "total"}
-PREFETCH = {"prefetch_select", "prefetch_fetch_parse"}
+# timed in every round: B (fetch + parse) and CA (per-bucket gate of this
+# round's links + selection of the next round); the first round of a call
+# also runs a standalone selection
+PHASES = {"fetch_parse", "gate_select", "metrics", "total"}
+FIRST = {"select"}
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +59,100 @@ def test_summary_carries_phase_seconds_per_round(full):
     summary, _ = full
     assert summary["rounds"] == CFG["max_rounds"]
     assert len(summary["phase_s"]) == summary["rounds"]
-    last = summary["rounds"] - 1
     for r, times in enumerate(summary["phase_s"]):
-        in_line = {"select", "fetch_parse"} if r == 0 else {"prefetch_wait"}
-        assert set(times) == PHASES | in_line | (PREFETCH if r < last else set())
+        assert set(times) == PHASES | (FIRST if r == 0 else set())
         assert all(s >= 0 for s in times.values())
-        # every in-round phase, futures included, ends before the commit
-        assert times["total"] >= max(
-            s for k, s in times.items() if k not in PREFETCH)
+        # the phases run serially inside the round's total (each value is
+        # rounded to 0.1 ms)
+        assert times["total"] >= sum(s for k, s in times.items() if k != "total") - 1e-3
+
+
+def test_timings_persisted_per_round(full):
+    """Every committed round >= 1 holds its round's ``timings/`` table
+    (``phase: string, seconds: double``), equal to the summary's
+    ``phase_s``."""
+    summary, _ = full
+    last = ckpt.last_committed_round(summary["ckpt_dir"])
+    for r in range(1, last + 1):
+        t = pq.read_table(os.path.join(ckpt.round_dir(summary["ckpt_dir"], r), "timings"))
+        assert [str(f.type) for f in t.schema] == ["string", "double"]
+        assert dict(zip(t["phase"].to_pylist(), t["seconds"].to_pylist())) == \
+            summary["phase_s"][r - 1]
+    assert read_timings(summary["ckpt_dir"]) == summary["phase_s"]
+
+
+def test_round_runs_two_executions(web, ray_session, monkeypatch):
+    """Counted by wrapping ``StreamingExecutor.execute``: on a 4-round
+    crawl every round after the first starts at most two Ray Data
+    executions (fetch + parse, then the per-bucket gate + select), the
+    first at most three, and the call at most 2·rounds + 1."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    pages_root, seeds, robots, root = web
+    started, per_commit = [0], []
+    real_execute, real_commit = StreamingExecutor.execute, ckpt.commit_round
+
+    def execute(self, *a, **kw):
+        started[0] += 1
+        return real_execute(self, *a, **kw)
+
+    def commit(ckpt_dir, r):
+        per_commit.append(started[0])
+        return real_commit(ckpt_dir, r)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    monkeypatch.setattr(ckpt, "commit_round", commit)
+    summary = run_crawl(pages_root, seeds, robots, EngineConfig(**CFG),
+                        os.path.join(root, "count"), resume=False)
+    rounds = summary["rounds"]
+    assert rounds == CFG["max_rounds"]
+    # per_commit[0] is bootstrap's round-0 commit
+    per_round = [b - a for a, b in zip(per_commit, per_commit[1:])]
+    assert len(per_round) == rounds
+    assert per_round[0] <= 3 and all(n <= 2 for n in per_round[1:]), per_round
+    assert started[0] <= 2 * rounds + 1
+
+
+def _metrics(ckpt_dir):
+    last = ckpt.last_committed_round(ckpt_dir)
+    return pd.concat([pq.read_table(os.path.join(ckpt.round_dir(ckpt_dir, r), "metrics"))
+                      .to_pandas() for r in range(1, last + 1)],
+                     ignore_index=True).sort_values(["round", "partition"],
+                                                    ignore_index=True)
+
+
+def test_bucket_task_failure_resumes_exactly(web, full, ray_session, monkeypatch):
+    """A failure inside one bucket task of round 2's gate + select
+    execution (its candidate file is unreadable), after other bucket tasks
+    have written round 3's and round 4's files, surfaces from
+    ``run_crawl``; the resume deletes the uncommitted rounds and equals the
+    uninterrupted run on crawled, seen and METRICS."""
+    pages_root, seeds, robots, root = web
+    ckpt_dir = os.path.join(root, "fail_bucket_task")
+    real = crawl._bucket_round
+
+    def corrupting(ckpt_dir_, cfg, robots_ref, delays_ref, gate_round, select_round):
+        if gate_round == FAIL_ROUND:
+            cand = os.path.join(ckpt.round_dir(ckpt_dir_, FAIL_ROUND + 1), "cand")
+            victim = max(os.listdir(cand))  # the highest bucket runs last
+            with open(os.path.join(cand, victim), "wb") as f:
+                f.write(b"not parquet")
+        return real(ckpt_dir_, cfg, robots_ref, delays_ref, gate_round, select_round)
+
+    monkeypatch.setattr(crawl, "_bucket_round", corrupting)
+    with pytest.raises(Exception):
+        run_crawl(pages_root, seeds, robots, EngineConfig(**CFG), ckpt_dir, resume=False)
+    assert ckpt.last_committed_round(ckpt_dir) == FAIL_ROUND
+    # other buckets' tasks got as far as pre-writing round 4's state
+    assert os.listdir(ckpt.round_dir(ckpt_dir, FAIL_ROUND + 2))
+
+    monkeypatch.undo()
+    run_crawl(pages_root, seeds, robots, EngineConfig(**CFG), ckpt_dir, resume=True)
+    summary, (fc, fs) = full
+    rc, rs = _tables(ckpt_dir)
+    assert fc.equals(rc)
+    assert fs.equals(rs)
+    assert _metrics(summary["ckpt_dir"]).equals(_metrics(ckpt_dir))
 
 
 def _fails_in_round(fn, hit):
@@ -76,13 +166,38 @@ def _fails_in_round(fn, hit):
     return wrapped
 
 
-# phase -> (module, attribute, "is this the failing round's call?")
+def _fails_after_round(fn, hit):
+    """``fn``, raising an injected error AFTER the call ``hit`` matches
+    has run (its outputs are written but the round is not committed)."""
+
+    def wrapped(*args, **kw):
+        out = fn(*args, **kw)
+        if hit(*args, **kw):
+            raise RuntimeError("injected failure")
+        return out
+
+    return wrapped
+
+
+def _ca_of(rnd):
+    """Is this ``_bucket_round`` call round ``rnd``'s gate + select?"""
+    return lambda ckpt_dir, cfg, robots_ref, delays_ref, gate_round, select_round: (
+        gate_round == rnd)
+
+
+# phase -> (wrapper, module, attribute, "is this the failing round's call?").
+# Each key names round state that is written but not yet committed when
+# the failure fires: before round 2's gate (gate); after round 2's gate +
+# select wrote round 3's links and round 4's pre-written host state and
+# deferred rows (host_state); in round 2's metrics (defer: every deferred
+# row of rounds 3 and 4 is on disk); at the commit (commit).
 PATCHED = {
-    "host_state": (crawl, "_update_host_state", lambda *a: a[5] == FAIL_ROUND),
-    "defer": (crawl, "defer_frontier",
-              lambda frontier, sel_dir: ckpt.round_dir("", FAIL_ROUND + 1) in sel_dir),
-    "gate": (crawl, "gate_links", lambda *a: a[3] == FAIL_ROUND + 1),
-    "commit": (ckpt, "commit_round", lambda ckpt_dir, r: r == FAIL_ROUND + 1),
+    "host_state": (_fails_after_round, crawl, "_bucket_round", _ca_of(FAIL_ROUND)),
+    "defer": (_fails_in_round, crawl, "_write_metrics",
+              lambda next_dir, rnd, *a: rnd == FAIL_ROUND),
+    "gate": (_fails_in_round, crawl, "_bucket_round", _ca_of(FAIL_ROUND)),
+    "commit": (_fails_in_round, ckpt, "commit_round",
+               lambda ckpt_dir, r: r == FAIL_ROUND + 1),
 }
 
 
@@ -96,8 +211,8 @@ def test_phase_failure_surfaces_then_resumes_exactly(phase, web, full, monkeypat
             lambda sel, cfg, rnd: fetch_selected(sel, pages_root, cfg.num_buckets),
             lambda sel, cfg, rnd: rnd == FAIL_ROUND)
     else:
-        module, name, hit = PATCHED[phase]
-        monkeypatch.setattr(module, name, _fails_in_round(getattr(module, name), hit))
+        wrap, module, name, hit = PATCHED[phase]
+        monkeypatch.setattr(module, name, wrap(getattr(module, name), hit))
 
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="injected failure"):

@@ -186,7 +186,9 @@ def test_http_fetch_session_paces_retries(ray_session):
     assert _sends(tr.log, "up.com") == [200.0, 200.0 + interval]
     assert list(out["status"]) == [503, 200, 503, 200]
     assert list(out["attempts"]) == [3, 1, 3, 1]
-    assert list(out["sched_ms"]) == [0.0, 200.0, 3 * interval,
+    # down.com's retries wait 1 then 2 intervals (a gap doubling per
+    # attempt), so down.com/2 goes one interval after its third attempt
+    assert list(out["sched_ms"]) == [0.0, 200.0, 4 * interval,
                                      200.0 + interval]
 
 
@@ -201,6 +203,48 @@ def test_http_fetch_session_gap_survives_slow_host(ray_session):
                          "http://a.com/2"],
                  "host": ["b.com", "a.com", "a.com"]}))
     assert _sends(tr.log, "a.com") == [950.0, 950.0 + interval]
+
+
+def test_http_fetch_session_widens_retry_wait(ray_session):
+    """The wait before each retry doubles per attempt from the interval,
+    capped at 5 s (never below the interval); with no interval it starts
+    at 100 ms — a failing host is never hammered back to back."""
+    for interval, gaps in ((1500, [1500, 3000, 5000, 5000]),
+                           (0, [100, 200, 400, 800]),
+                           (7000, [7000, 7000, 7000, 7000])):
+        tr = _timed_transport({}, {"down.com": 503})
+        fs = tr.fs = HttpFetchSession(tr, min_interval_ms=interval,
+                                      max_attempts=5)
+        out = fs(pa.table({"url": ["http://down.com/1"], "host": ["down.com"]}))
+        down = _sends(tr.log, "down.com")
+        assert [b - a for a, b in zip(down, down[1:])] == gaps, interval
+        assert out["attempts"].to_pylist() == [5]
+
+
+def test_http_fetch_session_honours_retry_after(ray_session):
+    """A third transport element is the answer's ``Retry-After`` in
+    seconds: the host's next send waits that long after the answer
+    arrived, while a 2-tuple transport answer stays valid."""
+    interval = 500
+    log: list[tuple[str, float]] = []
+
+    def transport(url):
+        host = url.split("/")[2]
+        log.append((host, fs.clock_ms))
+        fs.clock_ms += 100.0
+        if host == "busy.com" and len(_sends(log, "busy.com")) == 1:
+            return 429, None, 3
+        return 200, "<x>"
+
+    fs = HttpFetchSession(transport, min_interval_ms=interval)
+    out = fs(pa.table({"url": ["http://busy.com/1", "http://ok.com/1",
+                               "http://ok.com/2"],
+                       "host": ["busy.com", "ok.com", "ok.com"]}))
+    # busy.com answered at 100 ms with Retry-After: 3
+    assert _sends(log, "busy.com") == [0.0, 3100.0]
+    assert _sends(log, "ok.com") == [100.0, 100.0 + interval]
+    assert out["status"].to_pylist() == [200, 200, 200]
+    assert out["attempts"].to_pylist() == [2, 1, 1]
 
 
 def test_http_fetcher_through_engine(web, ray_session, tmp_path):
@@ -307,6 +351,40 @@ def test_http_default_transport_over_loopback(loopback):
     assert out[0]["html"] == b"caf\xe9"
     assert (out[1]["status"], out[1]["attempts"]) == (404, 1)
     assert out[1]["html"] is None
+
+
+def test_http_default_transport_reads_retry_after():
+    """The default urllib transport returns a 503's ``Retry-After``
+    seconds: the session's (virtual) clock holds the retry 2 s after the
+    answer, and the retry gets the 200."""
+    answers = [(503, b"", {"Retry-After": "2"}), (200, b"ok", {})]
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            code, body, headers = answers.pop(0) if answers else (200, b"ok", {})
+            self.send_response(code)
+            for k, v in headers.items():
+                self.send_header(k, v)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        fs = HttpFetchSession(min_interval_ms=0)
+        out = fs(pa.table({"url": [f"http://127.0.0.1:{srv.server_address[1]}/p"],
+                           "host": ["127.0.0.1"]})).to_pylist()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+    assert (out[0]["status"], out[0]["attempts"], out[0]["html"]) == (200, 2, b"ok")
+    assert fs.clock_ms >= 2000.0
 
 
 def test_http_fetcher_loopback_crawl(web, loopback, ray_session, tmp_path):

@@ -77,16 +77,30 @@ def test_resume_replays_uncommitted_round(web, ray_session):
 
 
 @pytest.mark.parametrize("field, value", [("num_partitions", 4),
-                                          ("seen_filter", "cuckoo")])
+                                          ("seen_filter", "cuckoo"),
+                                          ("state_key", None)])
 def test_resume_with_other_layout_raises(web, ray_session, field, value):
     """``round=0000/_MANIFEST`` records the layout settings; a resume that
     changes one (here the partitioning of the seen filters, or their kind)
-    raises naming it instead of mis-routing membership."""
+    raises naming it instead of mis-routing membership.  A manifest without
+    the state key (written before all round state was keyed by host
+    bucket) raises too."""
+    import json
+
     pages_root, seeds, robots, root = web
     ckpt_dir = os.path.join(root, f"layout_{field}")
     run_crawl(pages_root, seeds, robots, EngineConfig(**{**CFG, "max_rounds": 1}),
               ckpt_dir, resume=False)
+    if field == "state_key":
+        path = os.path.join(ckpt.round_dir(ckpt_dir, 0), ckpt.MANIFEST)
+        with open(path) as f:
+            manifest = json.load(f)
+        del manifest["state_key"]
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        cfg = EngineConfig(**CFG)
+    else:
+        cfg = EngineConfig(**{**CFG, field: value})
     with pytest.raises(ValueError, match=field):
-        run_crawl(pages_root, seeds, robots, EngineConfig(**{**CFG, field: value}),
-                  ckpt_dir, resume=True)
+        run_crawl(pages_root, seeds, robots, cfg, ckpt_dir, resume=True)
     assert ckpt.last_committed_round(ckpt_dir) == 1

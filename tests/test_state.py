@@ -149,53 +149,60 @@ def test_write_table_atomic_overwrite(tmp_path):
     assert ckpt.read_table(d, 0, "m")["x"].to_pylist() == [7, 8]
 
 
-# ---- per-partition seen gate (state.seenfilter + stages.links.gate_partition)
+# ---- per-bucket seen gate (state.seenfilter + stages.links.gate_bucket)
 
 P = 4
 
 
-def _seen_setup(root, kind, history_urls, capacity=10_000):
-    """Round-r state of one crawl over ``P`` partitions: a committed
-    seen_delta file holding ``history_urls`` and round r's filters built
-    from it; returns ``SeenFilters`` writing round r+1's filters."""
+def _bucket_of(url):
+    from borges_ray.canonical import stable_hash
+
+    return stable_hash(url.split("/")[2]) % P
+
+
+def _seen_setup(root, kind, history_urls, b, capacity=10_000):
+    """Round-r state of host bucket ``b`` of one crawl over ``P`` buckets:
+    round r's filters built from ``history_urls`` and b's committed
+    seen_delta file (its history urls, sorted); returns b's
+    ``SeenFilters`` writing round r+1's filters."""
     import pyarrow.parquet as pq
 
     from borges_ray.canonical import partition_of
     from borges_ray.schemas import SEEN
     from borges_ray.state import seenfilter
 
-    by_part: dict[int, list[str]] = {}
+    by_bucket: dict[int, list[str]] = {}
     for u in history_urls:
-        by_part.setdefault(partition_of(u, P), []).append(u)
+        by_bucket.setdefault(_bucket_of(u), []).append(u)
     src, dst = os.path.join(root, "src"), os.path.join(root, "dst")
-    seenfilter.seed_filters(src, kind, capacity, P, by_part)
+    seenfilter.seed_filters(src, kind, capacity, P, by_bucket)
     os.makedirs(dst, exist_ok=True)
-    hist = os.path.join(root, "seen-0.parquet")
+    mine = sorted(by_bucket.get(b, []))
+    hist = seenfilter.seen_file(root, b)
     pq.write_table(pa.table({
-        "url": history_urls,
-        "partition": [partition_of(u, P) for u in history_urls],
-        "seen_round": [0] * len(history_urls)}, schema=SEEN), hist)
+        "url": mine, "partition": [partition_of(u, P) for u in mine],
+        "seen_round": [0] * len(mine)}, schema=SEEN), hist)
     return seenfilter.SeenFilters(kind, capacity, src, dst, (hist,))
 
 
-def _candidates(urls, part):
-    import pandas as pd
-
-    return pd.DataFrame({
-        "url": urls, "host": [u.split("/")[2] for u in urls],
-        "depth": np.int32(1), "priority": np.int32(3),
-        "discovered_round": np.int32(1), "parent_url": "http://s.example/",
-        "partition": np.int32(part)})
-
-
-def _one_partition(history, fresh):
-    """History and candidate urls of one partition (the partition of the
-    first history url)."""
+def _candidates(urls):
     from borges_ray.canonical import partition_of
+    from borges_ray.schemas import FRONTIER
 
-    p = partition_of(history[0], P)
-    return (p, [u for u in history if partition_of(u, P) == p],
-            [u for u in fresh if partition_of(u, P) == p])
+    n = len(urls)
+    return pa.table({
+        "url": urls, "host": [u.split("/")[2] for u in urls],
+        "depth": [1] * n, "priority": [3] * n, "discovered_round": [1] * n,
+        "parent_url": ["http://s.example/"] * n,
+        "partition": [partition_of(u, P) for u in urls]}, schema=FRONTIER)
+
+
+def _one_bucket(history, fresh):
+    """History and candidate urls of one host bucket (the bucket of the
+    first history url)."""
+    b = _bucket_of(history[0])
+    return (b, [u for u in history if _bucket_of(u) == b],
+            [u for u in fresh if _bucket_of(u) == b])
 
 
 HIST = [f"http://h{i % 7}.example/old/{i}" for i in range(400)]
@@ -206,70 +213,69 @@ def test_saturated_filter_confirms_every_url_exactly(tmp_path, monkeypatch):
     """Every bit set: each candidate goes down the exact-confirm path, and
     the new rows equal those of a filter built from the same history; with
     no history they equal an empty filter's."""
-    from borges_ray.stages.links import gate_partition
+    from borges_ray.stages.links import gate_bucket
     from borges_ray.state import seenfilter
 
-    p, hist, fresh = _one_partition(HIST, FRESH)
-    cands = _candidates(hist[::2] + fresh, p)
+    b, hist, fresh = _one_bucket(HIST, FRESH)
+    cands = _candidates(hist[::2] + fresh)
 
-    exact = _seen_setup(str(tmp_path / "exact"), "bloom", HIST)
-    want = gate_partition(cands, exact, {})
-    assert sorted(want["url"]) == sorted(fresh)
+    exact = _seen_setup(str(tmp_path / "exact"), "bloom", HIST, b)
+    want = gate_bucket(cands, exact, b, {})
+    assert sorted(want["url"].to_pylist()) == sorted(fresh)
 
     confirmed: list[str] = []
     real = seenfilter.in_history
-    monkeypatch.setattr(seenfilter, "in_history", lambda files, q, urls: (
-        confirmed.extend(urls), real(files, q, urls))[1])
+    monkeypatch.setattr(seenfilter, "in_history", lambda files, urls: (
+        confirmed.extend(urls), real(files, urls))[1])
     for hist_urls, name in ((HIST, "sat"), ([], "sat_empty")):
-        sat = _seen_setup(str(tmp_path / name), "bloom", hist_urls)
-        path = seenfilter.filter_path(sat.src, p)
+        sat = _seen_setup(str(tmp_path / name), "bloom", hist_urls, b)
+        path = seenfilter.filter_path(sat.src, b)
         with open(path, "rb") as f:
             n = len(f.read())
         with open(path, "wb") as f:
             f.write(b"\xff" * n)
         confirmed.clear()
-        got = gate_partition(cands, sat, {})
-        assert sorted(confirmed) == sorted(cands["url"])
+        got = gate_bucket(cands, sat, b, {})
+        assert sorted(confirmed) == sorted(cands["url"].to_pylist())
         if hist_urls:
             assert got.equals(want)
         else:
-            empty = _seen_setup(str(tmp_path / "empty"), "bloom", [])
-            assert got.equals(gate_partition(cands, empty, {}))
-            assert len(got) == len(cands)
+            empty = _seen_setup(str(tmp_path / "empty"), "bloom", [], b)
+            assert got.equals(gate_bucket(cands, empty, b, {}))
+            assert got.num_rows == cands.num_rows
 
 
 @pytest.mark.parametrize("kind", ["bloom", "cuckoo"])
 def test_partition_gate_retry_is_byte_identical(tmp_path, kind):
-    """A retried partition task (same round, same committed inputs) writes
-    byte-identical filter and seen files and returns identical rows; the
-    written filter then holds exactly the partition's history + new urls."""
-    from borges_ray.pipelines.crawl import _make_split_emit
-    from borges_ray.stages.links import gate_partition
+    """A retried bucket task (same round, same committed inputs, its
+    candidates in another order) writes byte-identical filter, frontier,
+    seen, blocked and tally files and returns identical rows; the written
+    filter then holds exactly the bucket's history + new urls."""
+    from borges_ray.pipelines.crawl import _write_gated
+    from borges_ray.stages.links import gate_bucket
     from borges_ray.state import seenfilter
 
-    p, hist, fresh = _one_partition(HIST, FRESH)
-    seen = _seen_setup(str(tmp_path), kind, HIST)
-    cands = _candidates(hist[1::3] + fresh, p)
-    robots = {"h1.example": (("/new/1",), ())}
+    b, hist, fresh = _one_bucket(HIST, FRESH)
+    seen = _seen_setup(str(tmp_path), kind, HIST, b)
+    cands = _candidates(hist[1::3] + fresh)
+    robots = {fresh[0].split("/")[2]: (("/new/1",), ())}
     runs = []
     for attempt in range(2):
-        out = gate_partition(cands.sample(frac=1, random_state=attempt), seen, robots)
-        dirs = [str(tmp_path / f"try{attempt}" / d)
-                for d in ("frontier", "seen_delta", "crawled")]
-        for d in dirs:
-            os.makedirs(d)
-        _make_split_emit(0, *dirs)(out)
-        with open(seenfilter.filter_path(seen.dst, p), "rb") as f:
-            bits = f.read()
+        order = np.random.default_rng(attempt).permutation(cands.num_rows)
+        out = gate_bucket(cands.take(order), seen, b, robots)
         base = tmp_path / f"try{attempt}"
+        _write_gated(out, b, 0, str(base))
+        with open(seenfilter.filter_path(seen.dst, b), "rb") as f:
+            bits = f.read()
         files = {str(f.relative_to(base)): f.read_bytes()
                  for f in base.rglob("*") if f.is_file()}
-        runs.append((out.reset_index(drop=True), bits, files))
+        runs.append((out, bits, files))
     (o1, b1, f1), (o2, b2, f2) = runs
     assert o1.equals(o2) and b1 == b2 and f1 == f2
-    assert sorted(o1["url"]) == sorted(fresh) and o1["blocked"].any()
+    assert sorted(o1["url"].to_pylist()) == sorted(fresh)
+    assert any(o1["blocked"].to_pylist())
     assert any(k.startswith("seen_delta") for k in f1)
-    written = seenfilter.read_filter(kind, seen.capacity, seenfilter.filter_path(seen.dst, p))
+    written = seenfilter.read_filter(kind, seen.capacity, seenfilter.filter_path(seen.dst, b))
     assert written.maybe_contains_batch(hist + fresh).all()
 
 
@@ -286,3 +292,26 @@ def test_seen_filter_bits_round_trip_and_size_check():
         with pytest.raises(ValueError):
             cls.frombytes(50_000, f.tobytes())
     assert CuckooFilter.frombytes(5000, CuckooFilter(5000).tobytes()).count == 0
+
+
+def test_explode_links_keys_candidates_like_host_of():
+    """The candidates' host (their bucket key) is ``canonical.host_of`` of
+    the url — userinfo, port and IPv6 brackets stripped — so a link and
+    the same url enqueued as a seed land in one host bucket; the explode's
+    within-block winner keeps each url's max-priority parent."""
+    from borges_ray.canonical import host_of
+    from borges_ray.stages.links import explode_links
+
+    links = ["http://a.example/x", "http://user:pw@B.example:8080/y",
+             "https://[::1]:443/z", "http://x@y@z.example/", "http://h.example?q=1"]
+    t = pa.table({
+        "url": ["http://p1.example/", "http://p2.example/", "http://p3.example/"],
+        "status": pa.array([200, 200, 404], pa.int32()),
+        "priority": pa.array([3, 5, 9], pa.int32()),
+        "depth": pa.array([0, 2, 0], pa.int32()),
+        "links": pa.array([links, links[:1], links], pa.list_(pa.string()))})
+    out = explode_links(t, 1, 4, None).to_pylist()
+    assert sorted(r["url"] for r in out) == sorted(links)
+    assert all(r["host"] == host_of(r["url"]) for r in out)
+    a = next(r for r in out if r["url"] == links[0])
+    assert (a["parent_url"], a["priority"], a["depth"]) == ("http://p2.example/", 4, 3)
