@@ -1,10 +1,15 @@
 """The crawl engine: BSP rounds of Ray Data stages with Parquet checkpoints.
 
+Round 0 is the seeds (:func:`bootstrap`, driver-side): canonicalized,
+first-listed wins, then admitted per host bucket through the gate's own
+writer (:func:`_write_gated`) with the gate's robots rule — so a seed is
+recorded, blocked or enqueued exactly as a discovered link would be.
+
 One crawl round r (mirrors the oracle spec in ``reference_crawl.py``
 exactly) is TWO Ray Data executions, run serially:
 
     round=r/frontier/hb-<b>-*  ─── A(r): per host bucket b ───┐
-    round=r/host_state/hb=<b>/      (ran in CA(r-1), or        │ selected rows
+    round=r/host_state/hb-<b>-state (ran in CA(r-1), or       │ selected rows
                                      standalone in a call's    │ (pinned,
                                      first round)              ▼  host_seq)
     B(r)  fetch + parse ── bundle → request mw → fetch (probe
@@ -16,8 +21,8 @@ exactly) is TWO Ray Data executions, run serially:
     CA(r) one task per host bucket b (rd.from_items, batch_size=1):
           C(r, b)   winner over cand/hb-<b>-* → check-and-add on b's
                     filter (positives confirmed in b's OWN seen history)
-                    → robots → round=r+1/{frontier,seen_delta,crawled}/
-                    hb-<b>-*, seen_filter/part-<b>.bits, tally/
+                    → robots → round=r+1/{frontier,seen_delta,crawled,
+                    seen_filter,tally}/hb-<b>-*
           A(r+1, b) b's round r+1 frontier (deferred + new) and host state
                     → exact carry-over select → returns the selection;
                     writes b's deferred rows, host state and select tally
@@ -33,8 +38,9 @@ a shuffle.  The only all-to-all left in a round is the corpus probe's
 ``groupby(pbucket)`` inside B.  The last round (``max_rounds``) runs C
 only.
 
-Checkpoint layout (see :mod:`borges_ray.state.checkpoint`): ``round=r`` is
-the state *entering* round r.  Resume replays at most one uncommitted
+Checkpoint layout (see :mod:`borges_ray.state.checkpoint`, which alone
+names, writes, reads and hard-links every file): ``round=r`` is the state
+*entering* round r.  Resume replays at most one uncommitted
 round, idempotently: the uncommitted round dirs (including round r+2's
 pre-written selection state) are deleted and the call's first round runs
 a standalone A from committed state; each task-side write is keyed by its
@@ -84,7 +90,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import pyarrow.feather as pafeather
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -92,10 +97,10 @@ import ray.data as rd
 from .. import schemas
 from ..canonical import canonicalize, host_buckets, host_of, partition_of
 from ..stages.fetch import fetch_selected
-from ..stages.links import explode_links, gate_bucket
-from ..stages.parse import parse_fetched
-from ..stages.politeness import (SELECTED, delays_from_robots, host_state_dir,
-                                 read_host_state, select_bucket)
+from ..stages.links import explode_links, gate_bucket, robots_blocked
+from ..stages.parse import PARSED_SCHEMA, parse_fetched
+from ..stages.politeness import (SELECTED, delays_from_robots, read_host_state,
+                                 select_bucket)
 from ..state import checkpoint as ckpt
 from ..state import seenfilter
 
@@ -132,8 +137,9 @@ class EngineConfig:
 
 
 #: The key of every piece of round state (frontier, host state, link
-#: candidates, seen filters and seen history), recorded in ``_MANIFEST``.
-STATE_KEY = "host_bucket"
+#: candidates, seen filters and seen history — one ``hb-<b>-<tag>`` file per
+#: host bucket each), recorded in ``_MANIFEST``.
+STATE_KEY = "host_bucket_files"
 
 
 def _count_rows(path: str) -> int:
@@ -153,27 +159,6 @@ def _layout(cfg: EngineConfig) -> dict:
         "round_ms", "default_delay_ms", "max_depth")}}
 
 
-def _atomic_write_table(dir_: str, name: str, table: pa.Table) -> None:
-    """Task-side atomic write: tmp file + rename (same dir).  A ``.arrow``
-    name is an uncompressed Arrow IPC file (the round's internal exchange
-    files: link candidates and tallies, read back once by the engine);
-    anything else is Parquet."""
-    os.makedirs(dir_, exist_ok=True)
-    tmp = os.path.join(dir_, f".__tmp.{name}.{os.getpid()}")
-    if name.endswith(".arrow"):
-        pafeather.write_feather(table, tmp, compression="uncompressed")
-    else:
-        pq.write_table(table, tmp)
-    os.replace(tmp, os.path.join(dir_, name))
-
-
-def _read_file(path: str) -> pa.Table:
-    """One file written by :func:`_atomic_write_table`."""
-    if path.endswith(".arrow"):
-        return pafeather.read_table(path, memory_map=False)
-    return pq.ParquetFile(path).read()
-
-
 def _url_digest(urls) -> str:
     """Content digest of a block's urls: the file name of a task-side
     write, so a retried task rewrites the same bytes under the same name."""
@@ -184,11 +169,6 @@ def _url_digest(urls) -> str:
         h.update(u.encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def _bucket_name(b: int, tag: str, ext: str = "parquet") -> str:
-    """File name of host bucket ``b``'s part of a round subdir."""
-    return f"hb-{b:05d}-{tag}.{ext}"
 
 
 def _timed(times: dict, name: str, fn, *args, **kw):
@@ -228,12 +208,12 @@ def _crawled_and_candidates(rnd: int, next_dir: str, num_buckets: int,
     def emit(t: pa.Table) -> pa.Table:
         if t.num_rows:
             digest = _url_digest(t["url"].to_pylist())
-            _atomic_write_table(crawled_dir, f"fetched-{digest}.parquet", t)
+            ckpt.write_file(os.path.join(crawled_dir, f"fetched-{digest}.parquet"), t)
             cands = explode_links(t, rnd + 1, num_buckets, max_depth)
             hb = host_buckets(cands["host"], num_buckets)
             for b in np.unique(hb).tolist():
-                _atomic_write_table(cand_dir, _bucket_name(b, digest, "arrow"),
-                                    cands.filter(pa.array(hb == b)))
+                ckpt.write_file(ckpt.bucket_file(cand_dir, b, digest, "arrow"),
+                                cands.filter(pa.array(hb == b)))
         # robots-blocked (999) rows are written by the gate, never parsed:
         # every non-200 row here is a miss (404 and retry-exhausted 503 alike)
         ok = pc.equal(t["status"], 200)
@@ -252,64 +232,57 @@ def _gate_into(ckpt_dir: str, rnd: int, b: int, kind: str, capacity: int,
     seen and blocked (999) rows, next filter and gate tally for ``b``."""
     this_dir = ckpt.round_dir(ckpt_dir, rnd)
     next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
-    cand_dir = os.path.join(next_dir, "cand")
-    prefix = f"hb-{b:05d}-"
-    files = sorted(os.path.join(cand_dir, f) for f in (
-        os.listdir(cand_dir) if os.path.isdir(cand_dir) else ())
-        if f.startswith(prefix) and f.endswith(".arrow"))
-    cands = (pa.concat_tables([_read_file(f) for f in files]) if files
+    files = ckpt.bucket_files(os.path.join(next_dir, "cand"), b, ext="arrow")
+    cands = (pa.concat_tables([ckpt.read_file(f) for f in files]) if files
              else schemas.FRONTIER.empty_table())
     seen = seenfilter.SeenFilters(
         kind, capacity, os.path.join(this_dir, "seen_filter"),
         os.path.join(next_dir, "seen_filter"),
         seenfilter.history_files([os.path.join(ckpt.round_dir(ckpt_dir, k), "seen_delta")
                                   for k in range(rnd + 1)], b))
-    os.makedirs(seen.dst, exist_ok=True)
-    _write_gated(gate_bucket(cands, seen, b, robots), b, rnd, next_dir)
+    gated = gate_bucket(cands, seen, b, robots)
+    _write_gated(gated, b, rnd + 1, next_dir)
+    if gated.num_rows:
+        blocked = gated["blocked"]
+        ckpt.write_file(ckpt.bucket_file(os.path.join(next_dir, "tally"), b,
+                                         "gate", "arrow"),
+                        _tally(gated, "partition", links_new=pc.invert(blocked),
+                               blocked=blocked))
 
 
-def _write_gated(gated: pa.Table, b: int, rnd: int, next_dir: str) -> None:
-    """Write bucket ``b``'s gated new links into round r+1: frontier rows
-    (not blocked), seen rows (all, sorted by url), robots-blocked status-999
-    crawled rows, and the (partition, links_new, blocked) tally."""
+def _write_gated(gated: pa.Table, b: int, rnd: int, round_dir: str) -> None:
+    """Admit bucket ``b``'s gated new urls (the gate's new links, or the
+    seeds) into round ``rnd``'s ``round_dir``: frontier rows (not blocked),
+    seen rows (all, sorted by url) and robots-blocked status-999 crawled
+    rows."""
     if not gated.num_rows:
         return
-    from ..stages.parse import PARSED_SCHEMA
-
     blocked = gated["blocked"]
     new = gated.filter(pc.invert(blocked))
     if new.num_rows:
-        _atomic_write_table(os.path.join(next_dir, "frontier"),
-                            _bucket_name(b, "new"),
-                            new.select(schemas.FRONTIER.names))
+        ckpt.write_file(ckpt.bucket_file(os.path.join(round_dir, "frontier"), b, "new"),
+                        new.select(schemas.FRONTIER.names))
     n = gated.num_rows
-    seen_rows = pa.table({
-        "url": gated["url"], "partition": gated["partition"],
-        "seen_round": pa.array(np.full(n, rnd + 1, np.int32))}, schema=schemas.SEEN)
-    _atomic_write_table(*os.path.split(seenfilter.seen_file(
-        os.path.join(next_dir, "seen_delta"), b)), seen_rows)
+    ckpt.write_file(ckpt.bucket_file(os.path.join(round_dir, "seen_delta"), b, "new"),
+                    pa.table({"url": gated["url"], "partition": gated["partition"],
+                              "seen_round": pa.array(np.full(n, rnd, np.int32))},
+                             schema=schemas.SEEN))
     bl = gated.filter(blocked)
     if bl.num_rows:
-        k = bl.num_rows
-
         def const(v, typ):
-            return pa.array([v] * k, typ)
+            return pa.repeat(pa.scalar(v, typ), bl.num_rows)
 
         rows = {"url": bl["url"], "host": bl["host"], "depth": bl["depth"],
                 "priority": bl["priority"],
-                "fetch_round": const(rnd + 1, pa.int32()),
+                "fetch_round": const(rnd, pa.int32()),
                 "host_seq": const(-1, pa.int32()), "status": const(999, pa.int32()),
                 "attempts": const(0, pa.int32()),
                 "extracted_text": const("", pa.string()),
                 "lang": const("", pa.string()), "n_links": const(0, pa.int32()),
                 "links": const([], pa.list_(pa.string())),
                 "partition": bl["partition"]}
-        _atomic_write_table(os.path.join(next_dir, "crawled"),
-                            _bucket_name(b, "blocked"),
-                            pa.table(rows, schema=PARSED_SCHEMA))
-    _atomic_write_table(os.path.join(next_dir, "tally"), f"gate-hb-{b:05d}.arrow",
-                        _tally(gated, "partition", links_new=pc.invert(blocked),
-                               blocked=blocked))
+        ckpt.write_file(ckpt.bucket_file(os.path.join(round_dir, "crawled"), b, "blocked"),
+                        pa.table(rows, schema=PARSED_SCHEMA))
 
 
 def _select_into(ckpt_dir: str, rnd: int, b: int, delays: dict, round_ms: int,
@@ -320,35 +293,27 @@ def _select_into(ckpt_dir: str, rnd: int, b: int, delays: dict, round_ms: int,
     selected rows."""
     this_dir = ckpt.round_dir(ckpt_dir, rnd)
     next_dir = ckpt.round_dir(ckpt_dir, rnd + 1)
-    fdir = os.path.join(this_dir, "frontier")
-    parts = [_read_file(p) for p in (os.path.join(fdir, _bucket_name(b, tag))
-                                        for tag in ("deferred", "new"))
-             if os.path.exists(p)]
+    parts = [ckpt.read_file(p)
+             for p in ckpt.bucket_files(os.path.join(this_dir, "frontier"), b)]
     frontier = pa.concat_tables(parts) if parts else schemas.FRONTIER.empty_table()
     hs_root = os.path.join(this_dir, "host_state")
     old = read_host_state(hs_root, b)
     selected, deferred, state = select_bucket(frontier, old, delays, rnd,
                                               round_ms, night_shift)
     if deferred.num_rows:
-        _atomic_write_table(os.path.join(next_dir, "frontier"),
-                            _bucket_name(b, "deferred"),
-                            deferred)
-    dst = host_state_dir(os.path.join(next_dir, "host_state"), b)
+        ckpt.write_file(ckpt.bucket_file(os.path.join(next_dir, "frontier"), b,
+                                         "deferred"), deferred)
+    dst = ckpt.bucket_file(os.path.join(next_dir, "host_state"), b, "state")
     if state is not None:
-        _atomic_write_table(dst, "state-0.parquet", state)
+        ckpt.write_file(dst, state)
     elif old is not None:
         # unchanged slice: hard-link it forward — a file op, no data read
-        src = host_state_dir(hs_root, b)
-        os.makedirs(dst, exist_ok=True)
-        for f in os.listdir(src):
-            if not f.startswith("."):
-                ckpt.link_file(os.path.join(src, f), os.path.join(dst, f))
+        ckpt.link_file(ckpt.bucket_file(hs_root, b, "state"), dst)
     if selected.num_rows:
-        _atomic_write_table(os.path.join(next_dir, "tally"),
-                            f"select-hb-{b:05d}.arrow",
-                            _tally(selected, "partition",
-                                   selected=pa.array(np.ones(selected.num_rows,
-                                                             np.int64))))
+        ckpt.write_file(ckpt.bucket_file(os.path.join(next_dir, "tally"), b,
+                                         "select", "arrow"),
+                        _tally(selected, "partition",
+                               selected=pa.array(np.ones(selected.num_rows, np.int64))))
     return selected
 
 
@@ -389,10 +354,9 @@ def _round_metrics(rnd: int, num_partitions: int, frontier_size: int,
     returned (fetched / missed / links_emitted) or wrote into ``tally_dir``
     (selected per bucket task of A, links_new / blocked per task of C)."""
     m = pd.DataFrame(index=pd.Index(range(num_partitions), name="partition"))
-    files = sorted(os.listdir(tally_dir)) if os.path.isdir(tally_dir) else []
     for kind in ("select", "gate"):
-        parts = [_read_file(os.path.join(tally_dir, f)).to_pandas()
-                 for f in files if f.startswith(kind + "-")]
+        parts = [ckpt.read_file(f).to_pandas()
+                 for f in ckpt.bucket_files(tally_dir, tag=kind, ext="arrow")]
         if parts:
             m = m.join(pd.concat(parts).groupby("partition").sum())
     if len(fetch_tally):
@@ -409,10 +373,9 @@ def _round_metrics(rnd: int, num_partitions: int, frontier_size: int,
 
 
 def _write_timings(round_dir: str, times: dict) -> None:
-    _atomic_write_table(os.path.join(round_dir, "timings"), "part-0.parquet",
-                        pa.table({"phase": pa.array(list(times), pa.string()),
-                                  "seconds": pa.array(list(times.values()),
-                                                      pa.float64())}))
+    ckpt.write_file(os.path.join(round_dir, "timings", "part-0.parquet"),
+                    pa.table({"phase": pa.array(list(times), pa.string()),
+                              "seconds": pa.array(list(times.values()), pa.float64())}))
 
 
 def read_timings(ckpt_dir: str) -> list[dict[str, float]]:
@@ -427,68 +390,35 @@ def read_timings(ckpt_dir: str) -> list[dict[str, float]]:
     return out
 
 
-def bootstrap(seeds: pa.Table, robots_df: pd.DataFrame, cfg: EngineConfig,
+def bootstrap(seeds: pa.Table, robots: dict, cfg: EngineConfig,
               ckpt_dir: str) -> None:
     """Round-0 checkpoint from the seed table (driver-side; seeds are tiny —
-    the reference's start_urls.yaml scale), keyed by host bucket like every
-    later round."""
-    from ..canonical import stable_hash
-    from ..stages.parse import PARSED_SCHEMA
-
+    the reference's start_urls.yaml scale): the seeds are admitted through
+    the gate's writer, keyed by host bucket like every later round."""
     P = cfg.num_partitions
-    robots_map = {h: tuple(p) for h, p in zip(robots_df["host"], robots_df["disallow_prefixes"])}
-    rows, crawled, seen_rows = [], [], []
-    seen: set[str] = set()
-    cands = []
+    # canonical urls in input order, first-listed wins — exactly the
+    # oracle's enqueue rule (reference_crawl.py: `u in seen` skips)
+    first: dict[str, int] = {}
     for url, prio in zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist()):
         cu = canonicalize(url)
         if cu is not None:
-            cands.append((cu, prio))
-    # input order, first-listed wins — exactly the oracle's enqueue rule
-    # (reference_crawl.py: seeds are enqueued in list order, `u in seen` skips)
-    for cu, prio in cands:
-        if cu in seen:
-            continue
-        seen.add(cu)
-        host = host_of(cu)
-        part = partition_of(cu, P)
-        hb = stable_hash(host) % P
-        seen_rows.append({"url": cu, "partition": part, "seen_round": 0, "hb": hb})
-        path = cu.split(host, 1)[1] if host in cu else "/"
-        if any(path.startswith(p) for p in robots_map.get(host, ())):
-            crawled.append({"url": cu, "host": host, "depth": 0, "priority": prio,
-                            "fetch_round": 0, "host_seq": -1, "status": 999,
-                            "attempts": 0, "extracted_text": "", "lang": "",
-                            "n_links": 0, "links": [], "partition": part})
-            continue
-        rows.append({"url": cu, "host": host, "depth": 0, "priority": prio,
-                     "discovered_round": 0, "parent_url": "", "partition": part,
-                     "hb": hb})
-
+            first.setdefault(cu, prio)
+    urls, n = list(first), len(first)
+    cands = pa.table({
+        "url": urls, "host": [host_of(u) for u in urls], "depth": [0] * n,
+        "priority": list(first.values()), "discovered_round": [0] * n,
+        "parent_url": [""] * n, "partition": [partition_of(u, P) for u in urls],
+    }, schema=schemas.FRONTIER)
     rd0 = ckpt.round_dir(ckpt_dir, 0)
-    os.makedirs(rd0, exist_ok=True)
-    for sub, recs, schema in (("frontier", rows, schemas.FRONTIER),
-                              ("seen_delta", seen_rows, schemas.SEEN)):
-        t = pa.Table.from_pylist(recs) if recs else None
-        for b in sorted({r["hb"] for r in recs}):
-            part = t.filter(pc.equal(t["hb"], b)).select(schema.names).cast(schema)
-            if sub == "seen_delta":
-                part = part.sort_by("url")
-            _atomic_write_table(os.path.join(rd0, sub),
-                                _bucket_name(b, "new"), part)
-    if not seen_rows:
-        _atomic_write_table(os.path.join(rd0, "seen_delta"), "empty.parquet",
-                            schemas.SEEN.empty_table())
+    hb = host_buckets(cands["host"], P)
     by_bucket: dict[int, list[str]] = {}
-    for row in seen_rows:
-        by_bucket.setdefault(row["hb"], []).append(row["url"])
+    for b in np.unique(hb).tolist():
+        mine = cands.filter(pa.array(hb == b)).sort_by("url")
+        _write_gated(robots_blocked(mine, robots), b, 0, rd0)
+        by_bucket[b] = mine["url"].to_pylist()
+    _ensure_seen_delta(rd0)
     seenfilter.seed_filters(os.path.join(rd0, "seen_filter"), cfg.seen_filter,
                             cfg.seen_capacity, P, by_bucket)
-    if crawled:
-        ct = pa.Table.from_pylist(crawled).select(PARSED_SCHEMA.names).cast(PARSED_SCHEMA)
-        _atomic_write_table(os.path.join(rd0, "crawled"), "blocked.parquet", ct)
-    # empty hive-partitioned host-state (hb=<b>/ dirs appear as hosts do)
-    os.makedirs(os.path.join(rd0, "host_state"), exist_ok=True)
     ckpt.write_manifest(ckpt_dir, _layout(cfg))
     ckpt.commit_round(ckpt_dir, 0)
 
@@ -513,30 +443,28 @@ def run_crawl(
 
         if os.path.isdir(ckpt_dir):
             shutil.rmtree(ckpt_dir)
+    alw = (robots_df["allow_prefixes"] if "allow_prefixes" in robots_df.columns
+           else [()] * len(robots_df))
+    robots = {h: (tuple(p), tuple(a)) for h, p, a in
+              zip(robots_df["host"], robots_df["disallow_prefixes"], alw)}
     ckpt.clean_uncommitted(ckpt_dir)
     last = ckpt.last_committed_round(ckpt_dir)
     if last < 0:
-        bootstrap(seeds, robots_df, cfg, ckpt_dir)
+        bootstrap(seeds, robots, cfg, ckpt_dir)
         last = 0
     else:
         ckpt.check_manifest(ckpt_dir, _layout(cfg))
 
     delays_ref = ray.put(delays_from_robots(robots_df, cfg.default_delay_ms))
-    _alw = (robots_df["allow_prefixes"]
-            if "allow_prefixes" in robots_df.columns
-            else [()] * len(robots_df))
-    robots_ref = ray.put(
-        {h: (tuple(p), tuple(a)) for h, p, a in
-         zip(robots_df["host"], robots_df["disallow_prefixes"], _alw)}
-    )
+    robots_ref = ray.put(robots)
 
     def fetch_parse(sel: rd.Dataset, rnd: int, next_dir: str) -> pd.DataFrame:
         """B: the pinned selection → request middlewares → fetch → response
         middlewares → parse → task-side crawled + candidate writes; ONE
         execution, whose output is the per-partition fetch tally.  With a
         key pool configured, fetch runs on session actors (T2/S13); with
-        ``render``, on browser-handle actors (S12) — identical rows,
-        bookkeeping columns dropped before parse."""
+        ``render``, on browser-handle actors (S12) — every path returns the
+        same fetch-contract rows."""
         # the selection arrives as one small block per host bucket; bundling
         # them into batches of up to parse_block_rows rows first runs every
         # later operator (the fetch shuffle above all) on a few blocks
@@ -550,15 +478,13 @@ def run_crawl(
         elif cfg.render:
             from ..stages.fetch import fetch_selected_render
 
-            fetched = fetch_selected_render(
-                sel, pages_root, cfg.num_buckets,
-                flaky=cfg.flaky).drop_columns(["render_ms", "handle_gen"])
+            fetched = fetch_selected_render(sel, pages_root, cfg.num_buckets,
+                                            flaky=cfg.flaky)
         elif cfg.api_keys:
             from ..stages.fetch import fetch_selected_sessions
 
-            fetched = fetch_selected_sessions(
-                sel, pages_root, cfg.num_buckets, tuple(cfg.api_keys),
-                flaky=cfg.flaky).drop_columns(["key_idx"])
+            fetched = fetch_selected_sessions(sel, pages_root, cfg.num_buckets,
+                                              tuple(cfg.api_keys), flaky=cfg.flaky)
         else:
             fetched = fetch_selected(sel, pages_root, cfg.num_buckets,
                                      flaky=cfg.flaky)
@@ -624,19 +550,23 @@ def run_crawl(
     }
 
 
+def _ensure_seen_delta(round_dir: str) -> None:
+    """A round that saw no new url still gets an (empty) ``seen_delta``
+    file, so every committed round has a readable seen table."""
+    seen_dir = os.path.join(round_dir, "seen_delta")
+    if not ckpt.bucket_files(seen_dir):
+        ckpt.write_file(os.path.join(seen_dir, "empty.parquet"),
+                        schemas.SEEN.empty_table())
+
+
 def _write_metrics(next_dir: str, rnd: int, num_partitions: int,
                    frontier_size: int, fetch_tally: pd.DataFrame) -> None:
-    """Round ``rnd``'s METRICS into ``next_dir``; a round that saw no new
-    url still gets a (empty) ``seen_delta`` file, so every committed round
-    has a readable seen table."""
-    seen_dir = os.path.join(next_dir, "seen_delta")
-    if not any(not f.startswith(".") for f in (
-            os.listdir(seen_dir) if os.path.isdir(seen_dir) else ())):
-        _atomic_write_table(seen_dir, "empty.parquet", schemas.SEEN.empty_table())
-    _atomic_write_table(
-        os.path.join(next_dir, "metrics"), "part-0.parquet",
-        _round_metrics(rnd, num_partitions, frontier_size, fetch_tally,
-                       os.path.join(next_dir, "tally")))
+    """Round ``rnd``'s METRICS (and, if it saw no new url, its empty
+    ``seen_delta`` file) into ``next_dir``."""
+    _ensure_seen_delta(next_dir)
+    ckpt.write_file(os.path.join(next_dir, "metrics", "part-0.parquet"),
+                    _round_metrics(rnd, num_partitions, frontier_size, fetch_tally,
+                                   os.path.join(next_dir, "tally")))
 
 
 def collect_crawled(ckpt_dir: str) -> pa.Table:

@@ -5,12 +5,15 @@ IS a Parquet corpus (SURVEY.md §2.5), so fetch = equi-join of the selected
 frontier against ``pages`` on canonical url; a miss models a 404.
 
 Scale shape: the corpus is written **hash-bucketed by url**
-(``bucket=<stable_hash(url) % B>/`` hive dirs).  A crawl round fetches a
+(``pbucket=<stable_hash(url) % B>/`` hive dirs).  A crawl round fetches a
 politeness-bounded set of URLs (per-host budget × hosts), which is orders of
 magnitude smaller than the corpus — so the join is: group the selected
-frontier by bucket (tiny shuffle), then each group reads ONLY its bucket's
-files with an ``isin`` filter pushed into the Parquet scan.  The 100 TB
-corpus is never shuffled and never fully scanned per round.
+frontier by bucket (tiny shuffle), then each group reads ONLY its own
+bucket's file, with an ``isin`` filter pushed into the Parquet scan.  The
+corpus is never shuffled, but each probed bucket's file IS read in full:
+it is one row group, and pyarrow prunes no row group for an ``isin``
+filter (measured: a url-sorted bucket file kept 63 of 63 row groups).  So
+a round whose selection touches every bucket reads the whole corpus.
 
 :func:`probe_pages` is the ONE probe: the stateless path
 (:func:`fetch_selected`) runs it per bucket group, and the session actors
@@ -213,9 +216,10 @@ class FetchSession:
 def fetch_selected_sessions(selected: rd.Dataset, pages_root: str,
                             num_buckets: int, api_keys: tuple[str, ...],
                             flaky: bool = False, concurrency=(1, 4)) -> rd.Dataset:
-    """Session-actor fetch path: same rows as :func:`fetch_selected` (plus
-    ``key_idx``), with per-actor login + key-pool state.  The pool stays
-    small (below node CPUs) so it never starves the upstream stages."""
+    """Session-actor fetch path: same rows as :func:`fetch_selected`, with
+    per-actor login + key-pool state.  The ``key_idx`` bookkeeping column
+    is dropped so downstream sees the standard fetch contract.  The pool
+    stays small (below node CPUs) so it never starves the upstream stages."""
     return selected.map_batches(
         FetchSession,
         fn_constructor_kwargs={"pages_root": pages_root,
@@ -224,7 +228,7 @@ def fetch_selected_sessions(selected: rd.Dataset, pages_root: str,
         batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
-    )
+    ).drop_columns(["key_idx"])
 
 
 class RenderSession:
@@ -325,10 +329,12 @@ def fetch_selected_render(selected: rd.Dataset, pages_root: str,
                           resource_timeout_ms: int = 90_000,
                           flaky: bool = False,
                           concurrency=(1, 4)) -> rd.Dataset:
-    """Browser-render fetch path (S12): same rows as :func:`fetch_selected`
-    plus ``render_ms``/``handle_gen``, with per-actor browser-handle state.
-    Render work is the expensive stage in a real deployment — the actor
-    pool bounds concurrent browser handles per node."""
+    """Browser-render fetch path (S12): same rows as :func:`fetch_selected`,
+    with per-actor browser-handle state.  The ``render_ms``, ``handle_gen``
+    and ``resources_skipped`` bookkeeping columns are dropped so downstream
+    sees the standard fetch contract.  Render work is the expensive stage in
+    a real deployment — the actor pool bounds concurrent browser handles
+    per node."""
     return selected.map_batches(
         RenderSession,
         fn_constructor_kwargs={"pages_root": pages_root,
@@ -340,7 +346,7 @@ def fetch_selected_render(selected: rd.Dataset, pages_root: str,
         batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
-    )
+    ).drop_columns(["render_ms", "handle_gen", "resources_skipped"])
 
 
 # ---------------------------------------------------------------------------

@@ -83,17 +83,18 @@ def explode_links(t: pa.Table, next_rnd: int, num_partitions: int,
     }, schema=schemas.FRONTIER)
 
 
-def robots_blocked(urls: list[str], hosts: list[str], robots: dict) -> list[bool]:
-    """Per url: does its host's robots policy (host -> (disallows,
-    allows)) block it?"""
+def robots_blocked(t: pa.Table, robots: dict) -> pa.Table:
+    """``t`` (with ``url`` and ``host``) plus a ``blocked`` bool column: does
+    the host's robots policy (host -> (disallows, allows)) block the url?
+    The one robots rule of seeds and discovered links alike."""
     from ..stages.robots import robots_allowed
 
     blocked = []
-    for u, h in zip(urls, hosts):
+    for u, h in zip(t["url"].to_pylist(), t["host"].to_pylist()):
         dis, alw = robots.get(h, ((), ()))
         path = u.split(h, 1)[1] if h in u else "/"
         blocked.append(not robots_allowed(path, dis, alw))
-    return blocked
+    return t.append_column("blocked", pa.array(blocked, pa.bool_()))
 
 
 def gate_bucket(cands: pa.Table, seen: SeenFilters, bucket: int,
@@ -104,9 +105,7 @@ def gate_bucket(cands: pa.Table, seen: SeenFilters, bucket: int,
     (which writes its next filter) → robots flag."""
     w = winner(cands)
     new = check_and_add(seen, bucket, w["url"].to_pylist())
-    out = w.filter(pa.array(new, pa.bool_()))
-    return out.append_column("blocked", pa.array(robots_blocked(
-        out["url"].to_pylist(), out["host"].to_pylist(), robots), pa.bool_()))
+    return robots_blocked(w.filter(pa.array(new, pa.bool_())), robots)
 
 
 def link_candidates(parsed: rd.Dataset, rnd: int, num_partitions: int,
@@ -137,9 +136,7 @@ def gate_candidates(cands: rd.Dataset, seen_shards: list,
         urls = t["url"].to_pylist()
         new = (seen_check_and_add(seen_shards, urls, rnd) if urls
                else np.zeros(0, dtype=bool))
-        out = t.filter(pa.array(new, pa.bool_()))
-        return out.append_column("blocked", pa.array(robots_blocked(
-            out["url"].to_pylist(), out["host"].to_pylist(),
-            ray.get(robots_ref)), pa.bool_()))
+        return robots_blocked(t.filter(pa.array(new, pa.bool_())),
+                              ray.get(robots_ref))
 
     return cands.map_batches(gate, batch_format="pyarrow")

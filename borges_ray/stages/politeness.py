@@ -16,14 +16,14 @@ advances to ``start + k·delay``, carrying the fractional remainder into
 the next round.
 
 State key: the host bucket ``hb = stable_hash(host) % P``.  The crawl keeps
-each bucket's frontier slice and host-state slice (``host_state/hb=<b>/``)
-apart, so ONE task per bucket holds every row and every clock of its
-hosts and applies the exact carry-over rule with no combiner and no
-shuffle: :func:`select_bucket`, called by the engine's per-bucket select
-step (``pipelines/crawl.py``).  It returns the selection with ``host_seq``
-assigned, the deferred rows (written sorted by host, priority desc,
-discovered_round, url — each host's head first, Mercator's per-host back
-queue) and the bucket's next host state.
+each bucket's frontier slice and host-state slice (one file,
+``host_state/hb-<b>-state.parquet``) apart, so ONE task per bucket holds
+every row and every clock of its hosts and applies the exact carry-over
+rule with no combiner and no shuffle: :func:`select_bucket`, called by
+the engine's per-bucket select step (``pipelines/crawl.py``).  It returns
+the selection with ``host_seq`` assigned, the deferred rows (written
+sorted by host, priority desc, discovered_round, url — each host's head
+first, Mercator's per-host back queue) and the bucket's next host state.
 
 Skew: a Zipf-head host's whole backlog sits in one bucket task.
 Politeness bounds what that host is SELECTED per round, not what its
@@ -48,6 +48,7 @@ import ray
 import ray.data as rd
 
 from .. import schemas
+from ..state.checkpoint import bucket_file, read_file
 
 ORDER = [("priority", "descending"), ("discovered_round", "ascending"),
          ("url", "ascending")]
@@ -83,20 +84,12 @@ def delays_from_robots(robots_df: pd.DataFrame, default_delay_ms: int) -> dict[s
     return out
 
 
-def host_state_dir(root: str, bucket: int) -> str:
-    return os.path.join(root, f"hb={bucket}")
-
-
 def read_host_state(root: str, bucket: int) -> pa.Table | None:
     """Bucket ``bucket``'s host-state slice under ``root`` (a round's
-    ``host_state/``), or None if the bucket has no host yet."""
-    path = host_state_dir(root, bucket)
-    files = sorted(f for f in (os.listdir(path) if os.path.isdir(path) else ())
-                   if not f.startswith("."))
-    if not files:
-        return None
-    return pa.concat_tables([pq.ParquetFile(os.path.join(path, f)).read()
-                             for f in files]).cast(HOST_STATE)
+    ``host_state/``, one ``hb-<b>-state.parquet`` file per bucket), or None
+    if the bucket has no host yet."""
+    path = bucket_file(root, bucket, "state")
+    return read_file(path).cast(HOST_STATE) if os.path.exists(path) else None
 
 
 def select_bucket(frontier: pa.Table, host_state: pa.Table | None,
@@ -172,8 +165,8 @@ def select_frontier(
     A combiner pass keeps each block's per-host rows under the clock-free
     bound, a ``groupby`` on the host bucket brings each bucket's
     candidates together, and the per-group pass runs
-    :func:`select_bucket` against the bucket's ``host_state/hb=<b>/``
-    slice — the same kernel and rule as the crawl."""
+    :func:`select_bucket` against the bucket's host-state slice — the
+    same kernel and rule as the crawl."""
     from ..canonical import host_buckets
     from ..ops.relational import cached_get
 

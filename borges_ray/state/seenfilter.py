@@ -4,16 +4,17 @@ bucket — no actor, no shared mutable index.
 Host bucket ``b = stable_hash(host) % P`` (the crawl's one state key, see
 ``pipelines/crawl.py``) keeps one filter (Bloom, or cuckoo with
 ``seen_filter="cuckoo"``) sized by ``seen_capacity``, persisted as raw bits
-in ``round=r/seen_filter/part-<b>.bits``.  In round r the ONE task of
+in ``round=r/seen_filter/hb-<b>-filter.bits``.  In round r the ONE task of
 bucket b (:func:`borges_ray.stages.links.gate_bucket`) runs
 :func:`check_and_add` on its winners:
 
 - it loads round r's filter file; a filter negative is new;
 - a filter positive is confirmed exactly against bucket b's OWN committed
   seen history — its ``seen_delta/hb-<b>-new.parquet`` file of each round
-  ≤ r (:func:`history_files`), rows sorted by url, so at design scale the
-  probe prunes row groups by their statistics; no task opens another
-  bucket's files;
+  ≤ r (:func:`history_files`), rows sorted by url.  Each file is read in
+  full (pyarrow prunes no row group for the probe's ``isin`` filter), but
+  it holds only one round's new urls of one bucket, and no task opens
+  another bucket's files;
 - it adds the new URLs and writes round r+1's filter file before the
   round's ``_COMMITTED``; with nothing new it hard-links round r's file
   forward (:func:`link_forward`) — a file op, no data read.
@@ -43,7 +44,7 @@ import pyarrow.fs as pafs
 
 from .. import schemas
 from .bloom import BloomFilter
-from .checkpoint import link_file
+from .checkpoint import bucket_file, link_file, write_file
 from .cuckoo import CuckooFilter
 
 FILTERS = {"bloom": BloomFilter, "cuckoo": CuckooFilter}
@@ -66,32 +67,20 @@ def new_filter(kind: str, capacity: int):
 
 
 def filter_path(dir_: str, b: int) -> str:
-    return os.path.join(dir_, f"part-{b:05d}.bits")
-
-
-def seen_file(seen_delta_dir: str, b: int) -> str:
-    """Bucket ``b``'s seen rows of one round (sorted by url)."""
-    return os.path.join(seen_delta_dir, f"hb-{b:05d}-new.parquet")
+    """Bucket ``b``'s filter file in a round's ``seen_filter/`` dir."""
+    return bucket_file(dir_, b, "filter", "bits")
 
 
 def history_files(seen_delta_dirs, b: int) -> tuple[str, ...]:
-    """Bucket ``b``'s committed seen files among ``seen_delta_dirs``."""
-    return tuple(p for p in (seen_file(d, b) for d in seen_delta_dirs)
+    """Bucket ``b``'s committed seen files (sorted by url) among
+    ``seen_delta_dirs``."""
+    return tuple(p for p in (bucket_file(d, b, "new") for d in seen_delta_dirs)
                  if os.path.exists(p))
 
 
 def read_filter(kind: str, capacity: int, path: str):
     with open(path, "rb") as f:
         return FILTERS[kind].frombytes(capacity, f.read())
-
-
-def write_filter(filt, path: str) -> None:
-    """Atomic (tmp + rename in the same dir), so a reader or a retried
-    writer never sees a partial file."""
-    tmp = f"{path}.__tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(filt.tobytes())
-    os.replace(tmp, path)
 
 
 def link_forward(seen: SeenFilters, b: int) -> None:
@@ -102,11 +91,10 @@ def link_forward(seen: SeenFilters, b: int) -> None:
 def seed_filters(dir_: str, kind: str, capacity: int, num_buckets: int,
                  urls_by_bucket: dict[int, list[str]]) -> None:
     """Round 0's files: one filter per bucket holding its seed URLs."""
-    os.makedirs(dir_, exist_ok=True)
     for b in range(num_buckets):
         f = new_filter(kind, capacity)
         f.add_batch(sorted(urls_by_bucket.get(b, ())))
-        write_filter(f, filter_path(dir_, b))
+        write_file(filter_path(dir_, b), f.tobytes())
 
 
 def in_history(files: tuple[str, ...], urls: list[str]) -> np.ndarray:
@@ -142,5 +130,5 @@ def check_and_add(seen: SeenFilters, b: int, urls: list[str]) -> np.ndarray:
         link_forward(seen, b)
         return new
     filt.add_batch(sorted(u for u, n in zip(urls, new) if n))
-    write_filter(filt, filter_path(seen.dst, b))
+    write_file(filter_path(seen.dst, b), filt.tobytes())
     return new

@@ -409,6 +409,34 @@ def test_robots_allow_carveout_conformance(web, ray_session, tmp_path):
     assert all(st[u] == 999 for u in sibs)
 
 
+def test_seed_robots_allow_carveout(ray_session, tmp_path):
+    """Seeds pass the same robots rule as discovered links: with Disallow
+    ``/private/`` and Allow ``/private/x``, the seed ``/private/x`` is
+    fetched (200) and ``/private/y`` is blocked (999), exactly as the
+    reference's enqueue decides."""
+    urls = ["http://a.test/", "http://a.test/private/x", "http://a.test/private/y"]
+    html = [f"<html><body><p>page {u}</p></body></html>".encode() for u in urls]
+    pages_root = str(tmp_path / "pages")
+    write_pages_bucketed(pa.table({"url": urls, "html": pa.array(html, pa.binary())}),
+                         pages_root, num_buckets=2)
+    seeds = pa.table({"url": urls, "priority": pa.array([3, 2, 1], pa.int32())})
+    robots = pd.DataFrame({"host": ["a.test"], "disallow_prefixes": [["/private/"]],
+                           "allow_prefixes": [["/private/x"]],
+                           "crawl_delay_ms": [100]})
+    oracle = crawl(dict(zip(urls, html)), list(zip(urls, [3, 2, 1])),
+                   robots.set_index("host").to_dict("index"),
+                   CrawlConfig(max_rounds=3, num_partitions=4))
+    ck = str(tmp_path / "ckpt")
+    run_crawl(pages_root, seeds, robots,
+              EngineConfig(max_rounds=3, num_partitions=4, num_buckets=2), ck,
+              resume=False)
+    got = sorted(zip(*collect_crawled(ck).select(["url", "status"]).to_pydict().values()))
+    want = sorted((r["url"], r["status"]) for r in oracle.crawled)
+    assert got == want
+    assert dict(want) == {"http://a.test/": 200, "http://a.test/private/x": 200,
+                          "http://a.test/private/y": 999}
+
+
 @pytest.fixture(scope="module")
 def flaky_result(web, ray_session):
     """Oracle and engine crawls of the same web with the T6 retry model on:

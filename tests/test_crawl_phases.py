@@ -81,6 +81,54 @@ def test_timings_persisted_per_round(full):
     assert read_timings(summary["ckpt_dir"]) == summary["phase_s"]
 
 
+def _documented_layout():
+    """subdir ("" for the round dir itself) -> file-name regexes, read from
+    the layout tree in ``state/checkpoint.py``'s docstring: ``<b>`` is a
+    five-digit host bucket, ``<digest>`` 16 hex digits."""
+    import re
+
+    lines = ckpt.__doc__.splitlines()
+    start = lines.index("    ckpt/") + 2          # past ckpt/ and round=0000/
+    layout: dict[str, list] = {}
+    sub = None
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        tokens = [t.rstrip(",") for t in line.split()]
+        if re.fullmatch(r"[a-z_]+/", tokens[0]):
+            sub = tokens.pop(0)[:-1]
+        elif re.fullmatch(r"_[A-Z]+", tokens[0]):
+            layout.setdefault("", []).append(re.compile(re.escape(tokens[0])))
+            continue
+        for t in tokens:
+            if re.fullmatch(r"[\w<>-]+\.(parquet|arrow|bits)", t):
+                layout.setdefault(sub, []).append(re.compile(
+                    re.escape(t).replace("<b>", r"\d{5}")
+                    .replace("<digest>", "[0-9a-f]{16}")))
+    return layout
+
+
+def test_checkpoint_files_match_documented_layout(full):
+    """Every file under every ``round=NNNN/`` of the committed 4-round crawl
+    matches a file pattern of its subdir in the checkpoint module's layout
+    docstring — no stray tmp file, nested dir or undocumented name."""
+    summary, _ = full
+    layout = _documented_layout()
+    assert {"frontier", "host_state", "seen_delta", "seen_filter", "crawled",
+            "cand", "tally", "metrics", "timings", ""} <= set(layout)
+    ckpt_dir, seen_subdirs = summary["ckpt_dir"], set()
+    for r in range(ckpt.last_committed_round(ckpt_dir) + 1):
+        rdir = ckpt.round_dir(ckpt_dir, r)
+        for dp, _dn, fs in os.walk(rdir):
+            sub = os.path.relpath(dp, rdir)
+            sub = "" if sub == "." else sub
+            seen_subdirs.add(sub)
+            for f in fs:
+                assert any(p.fullmatch(f) for p in layout.get(sub, ())), \
+                    os.path.join(rdir, sub, f)
+    assert seen_subdirs == set(layout)
+
+
 def test_round_runs_two_executions(web, ray_session, monkeypatch):
     """Counted by wrapping ``StreamingExecutor.execute``: on a 4-round
     crawl every round after the first starts at most two Ray Data

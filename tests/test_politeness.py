@@ -5,18 +5,17 @@ the carry-over rule, on a Zipf-head frontier."""
 
 from __future__ import annotations
 
-import os
 import random
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 from borges_ray import schemas
 from borges_ray.canonical import host_buckets, partition_of
-from borges_ray.stages.politeness import (HOST_STATE, host_active, host_state_dir,
+from borges_ray.stages.politeness import (HOST_STATE, host_active,
                                           read_host_state, select_bucket,
                                           select_frontier)
+from borges_ray.state import checkpoint as ckpt
 
 P = 4
 RND = 3
@@ -78,11 +77,9 @@ def test_select_bucket_equals_select_frontier(ray_session, tmp_path, night_shift
     hb = host_buckets(pa.array(list(state)), P)
     for b in set(hb.tolist()):
         hosts = [h for h, x in zip(state, hb) if x == b]
-        os.makedirs(host_state_dir(root, b))
-        pq.write_table(pa.table({
+        ckpt.write_file(ckpt.bucket_file(root, b, "state"), pa.table({
             "host": hosts, "next_seq": [state[h][0] for h in hosts],
-            "next_allowed_ms": [state[h][1] for h in hosts]}, schema=HOST_STATE),
-            os.path.join(host_state_dir(root, b), "state-0.parquet"))
+            "next_allowed_ms": [state[h][1] for h in hosts]}, schema=HOST_STATE))
     want_sel, want_clocks = _reference(frontier, delays, state, night_shift)
     assert len(want_sel) > 20 and frontier.num_rows - len(want_sel) > 300
 

@@ -78,13 +78,15 @@ def test_resume_replays_uncommitted_round(web, ray_session):
 
 @pytest.mark.parametrize("field, value", [("num_partitions", 4),
                                           ("seen_filter", "cuckoo"),
-                                          ("state_key", None)])
+                                          ("state_key", None),
+                                          ("state_key", "host_bucket")])
 def test_resume_with_other_layout_raises(web, ray_session, field, value):
     """``round=0000/_MANIFEST`` records the layout settings; a resume that
     changes one (here the partitioning of the seen filters, or their kind)
     raises naming it instead of mis-routing membership.  A manifest without
     the state key (written before all round state was keyed by host
-    bucket) raises too."""
+    bucket), or with the key of the layout whose host state sat in
+    ``hb=<b>/`` dirs, raises too."""
     import json
 
     pages_root, seeds, robots, root = web
@@ -95,7 +97,10 @@ def test_resume_with_other_layout_raises(web, ray_session, field, value):
         path = os.path.join(ckpt.round_dir(ckpt_dir, 0), ckpt.MANIFEST)
         with open(path) as f:
             manifest = json.load(f)
-        del manifest["state_key"]
+        if value is None:
+            del manifest["state_key"]
+        else:
+            manifest["state_key"] = value
         with open(path, "w") as f:
             json.dump(manifest, f)
         cfg = EngineConfig(**CFG)

@@ -113,16 +113,19 @@ def test_seen_shards_resume_load(ray_session):
     assert m.tolist() == [False, False, True]
 
 
+def _put(d, r, name, t):
+    """``t`` as round ``r``'s ``name/`` table, through the checkpoint writer."""
+    ckpt.write_file(os.path.join(ckpt.round_dir(d, r), name, "part-0.parquet"), t)
+
+
 def test_checkpoint_commit_and_resume(tmp_path):
     d = str(tmp_path / "ck")
     t = pa.table({"x": pa.array([1, 2, 3])})
     for r in range(3):
-        os.makedirs(ckpt.round_dir(d, r), exist_ok=True)
-        ckpt.write_table(d, r, "crawled", t)
+        _put(d, r, "crawled", t)
         ckpt.commit_round(d, r)
     # round 3 exists but uncommitted
-    os.makedirs(ckpt.round_dir(d, 3), exist_ok=True)
-    ckpt.write_table(d, 3, "crawled", t)
+    _put(d, 3, "crawled", t)
     assert ckpt.last_committed_round(d) == 2
     ckpt.clean_uncommitted(d)
     assert not os.path.isdir(ckpt.round_dir(d, 3))
@@ -134,19 +137,30 @@ def test_checkpoint_gap_invalidates_tail(tmp_path):
     d = str(tmp_path / "ck2")
     t = pa.table({"x": pa.array([1])})
     for r in (0, 1, 2):
-        os.makedirs(ckpt.round_dir(d, r), exist_ok=True)
-        ckpt.write_table(d, r, "m", t)
+        _put(d, r, "m", t)
         if r != 1:
             ckpt.commit_round(d, r)
     assert ckpt.last_committed_round(d) == 0     # gap at 1 → 2 doesn't count
 
 
-def test_write_table_atomic_overwrite(tmp_path):
-    d = str(tmp_path / "ck3")
-    os.makedirs(ckpt.round_dir(d, 0), exist_ok=True)
-    ckpt.write_table(d, 0, "m", pa.table({"x": pa.array([1])}))
-    ckpt.write_table(d, 0, "m", pa.table({"x": pa.array([7, 8])}))  # idempotent replay
-    assert ckpt.read_table(d, 0, "m")["x"].to_pylist() == [7, 8]
+def test_write_file_atomic_overwrite(tmp_path):
+    """A rewrite (idempotent replay) replaces the file whole, for Parquet,
+    Arrow IPC and raw bytes alike, and leaves no tmp file behind."""
+    d = str(tmp_path / "ck3" / "sub")
+    for ext in ("parquet", "arrow"):
+        path = ckpt.bucket_file(d, 3, "m", ext)
+        ckpt.write_file(path, pa.table({"x": pa.array([1])}))
+        ckpt.write_file(path, pa.table({"x": pa.array([7, 8])}))
+        assert ckpt.read_file(path)["x"].to_pylist() == [7, 8]
+    path = ckpt.bucket_file(d, 3, "filter", "bits")
+    ckpt.write_file(path, b"\x01\x02")
+    ckpt.write_file(path, b"\x07")
+    with open(path, "rb") as f:
+        assert f.read() == b"\x07"
+    assert sorted(os.listdir(d)) == ["hb-00003-filter.bits", "hb-00003-m.arrow",
+                                     "hb-00003-m.parquet"]
+    assert ckpt.bucket_files(d, 3, ext="arrow") == [ckpt.bucket_file(d, 3, "m", "arrow")]
+    assert ckpt.bucket_files(d, tag="m") == [ckpt.bucket_file(d, 3, "m")]
 
 
 # ---- per-bucket seen gate (state.seenfilter + stages.links.gate_bucket)
@@ -178,7 +192,7 @@ def _seen_setup(root, kind, history_urls, b, capacity=10_000):
     seenfilter.seed_filters(src, kind, capacity, P, by_bucket)
     os.makedirs(dst, exist_ok=True)
     mine = sorted(by_bucket.get(b, []))
-    hist = seenfilter.seen_file(root, b)
+    hist = ckpt.bucket_file(root, b, "new")
     pq.write_table(pa.table({
         "url": mine, "partition": [partition_of(u, P) for u in mine],
         "seen_round": [0] * len(mine)}, schema=SEEN), hist)
@@ -249,8 +263,8 @@ def test_saturated_filter_confirms_every_url_exactly(tmp_path, monkeypatch):
 def test_partition_gate_retry_is_byte_identical(tmp_path, kind):
     """A retried bucket task (same round, same committed inputs, its
     candidates in another order) writes byte-identical filter, frontier,
-    seen, blocked and tally files and returns identical rows; the written
-    filter then holds exactly the bucket's history + new urls."""
+    seen and blocked files and returns identical rows; the written filter
+    then holds exactly the bucket's history + new urls."""
     from borges_ray.pipelines.crawl import _write_gated
     from borges_ray.stages.links import gate_bucket
     from borges_ray.state import seenfilter
